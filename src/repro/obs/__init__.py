@@ -2,11 +2,12 @@
 
 Three stdlib-only layers (PR 10):
 
-* :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry`
-  of counters/gauges/histograms with exact, lock-free hot-path bumps
-  (per-thread cells; snapshot-time math only) and a Prometheus text
-  renderer.  The engine (memo caches, native builds, backend dispatch)
-  and the serve layer both register here.
+* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` instances of
+  counters/gauges/histograms/summaries with exact, lock-free hot-path
+  bumps (per-thread cells; snapshot-time math only) and a Prometheus
+  text renderer.  The engine (memo caches, native builds, backend
+  dispatch) registers on the process-wide :data:`REGISTRY`; each
+  server keeps its own registry and exports it there while running.
 * :mod:`repro.obs.tracing` — ``trace_id``/span context that rides the
   ndJSON protocol, microsecond monotonic timestamps, and the bounded
   span ring behind the slow-query log.
@@ -22,6 +23,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     REGISTRY,
+    Summary,
     enabled,
     get_registry,
     merge_families,
@@ -47,6 +49,7 @@ __all__ = [
     "REGISTRY",
     "Span",
     "SpanRing",
+    "Summary",
     "Trace",
     "enabled",
     "get_registry",

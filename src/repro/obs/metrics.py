@@ -1,20 +1,24 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Metrics registries: counters, gauges, histograms and summaries.
 
-This is the metrics core of the observability subsystem (PR 10). The
-design follows ``serve/metrics.py``'s discipline — the hot path does
-only GIL-cheap work, all derived math happens at snapshot time — and
-extends it with one more trick so concurrent bumps stay *exact*:
+This is the metrics core of the observability subsystem. The hot path
+does only GIL-cheap work and all derived math happens at snapshot
+time; one more trick keeps concurrent bumps *exact*:
 
 * Every counter/histogram child keeps one mutable cell **per thread**
   (``threading.local``).  A bump is an unshared ``cell.value += n`` —
   no lock, no contention, no lost updates — and a snapshot sums the
   cells.  Totals are therefore exact once the bumping threads are
   quiescent (the 12-thread hammer test pins this).
-* Gauges are last-write-wins (``set``) or computed at snapshot time
+* Gauges are last-write-wins (``set``), levels (``inc``/``dec`` from
+  one thread, e.g. an event loop) or computed at snapshot time
   (``set_function``); they carry no per-thread state.
 * Histograms use fixed upper bounds chosen at registration.  A bump
   is a ``bisect`` plus three cell increments; cumulative bucket counts
   (the Prometheus convention) are computed only when snapshotting.
+* Summaries keep exact ``_sum``/``_count`` cells plus a bounded window
+  of the last :data:`SUMMARY_WINDOW` ``(monotonic stamp, value)``
+  pairs; nearest-rank quantiles and the recent event rate are derived
+  from that window at snapshot time.
 
 Snapshots are plain JSON-safe dicts ("families") so they can ride the
 ndJSON serving protocol unchanged; :func:`render_prometheus` turns a
@@ -25,9 +29,12 @@ Everything here is stdlib-only.
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_left
+from collections import deque
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from time import monotonic
 
 __all__ = [
     "METRICS_SCHEMA_VERSION",
@@ -36,6 +43,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
+    "Summary",
     "enabled",
     "merge_families",
     "render_prometheus",
@@ -61,6 +69,13 @@ DEFAULT_BUCKETS = (
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
+#: Observations a summary child keeps for its quantiles and rate:
+#: enough for a stable p99 while keeping snapshot sorting trivial.
+SUMMARY_WINDOW = 512
+SUMMARY_QUANTILES = (0.5, 0.99)
+#: How far back (seconds) a summary's recent rate looks.
+RATE_HORIZON = 10.0
+
 
 def set_enabled(flag):
     """Globally enable/disable metric collection (hot paths early-out)."""
@@ -82,7 +97,7 @@ class _Cell:
 
 
 class _HistCell:
-    """One thread's private accumulator for a histogram child."""
+    """One thread's private accumulator for a histogram/summary child."""
 
     __slots__ = ("buckets", "count", "total")
 
@@ -145,6 +160,14 @@ class _GaugeChild:
             return
         self._value = float(value)
 
+    # ``inc``/``dec`` ignore the kill switch: a level must see both
+    # halves of every pair, or toggling mid-request would strand it.
+    def inc(self, amount=1):
+        self._value += amount
+
+    def dec(self, amount=1):
+        self._value -= amount
+
     def set_function(self, fn):
         """Compute the gauge at snapshot time via ``fn()``."""
         self._fn = fn
@@ -202,6 +225,58 @@ class _HistogramChild(_Child):
         return self.snapshot()[1]
 
 
+def _nearest_rank(ordered, q):
+    """Nearest-rank quantile of a non-empty sorted list."""
+    rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
+    return ordered[rank]
+
+
+class _SummaryChild(_Child):
+    __slots__ = ("_window",)
+
+    def __init__(self):
+        super().__init__()
+        self._window = deque(maxlen=SUMMARY_WINDOW)
+
+    def _new_cell(self):
+        return _HistCell(0)
+
+    def observe(self, value, now=None):
+        """Record ``value`` stamped ``now`` (default: monotonic clock)."""
+        if not _ENABLED:
+            return
+        cell = self._cell()
+        cell.count += 1
+        cell.total += value
+        self._window.append((monotonic() if now is None else now, value))
+
+    def totals(self):
+        """``(sum, count)`` over every observation, summed over cells."""
+        with self._lock:
+            cells = list(self._cells)
+        return (sum(cell.total for cell in cells),
+                sum(cell.count for cell in cells))
+
+    def quantiles(self):
+        """``[[q, value], ...]`` over the window; empty while it is."""
+        ordered = sorted(value for _, value in tuple(self._window))
+        if not ordered:
+            return []
+        return [[q, _nearest_rank(ordered, q)] for q in SUMMARY_QUANTILES]
+
+    def rate(self, now=None):
+        """Observations per second over the last :data:`RATE_HORIZON`
+        seconds (0 when idle), or over the window's own span when the
+        window fills up within that horizon."""
+        now = monotonic() if now is None else now
+        stamps = [stamp for stamp, _ in tuple(self._window)
+                  if now - stamp < RATE_HORIZON]
+        span = RATE_HORIZON
+        if len(stamps) == SUMMARY_WINDOW:
+            span = now - stamps[0]
+        return len(stamps) / span if stamps and span > 0 else 0.0
+
+
 class _Metric:
     """A named family: label names plus one child per label-value tuple."""
 
@@ -215,6 +290,11 @@ class _Metric:
         self._children = {}
         self._children_lock = threading.Lock()
         self._default = self._make_child() if not self.labelnames else None
+
+    def _only_default(self):
+        if self._default is None:
+            raise ValueError(f"{self.name} requires .labels(...)")
+        return self._default
 
     def labels(self, *values, **kwargs):
         if kwargs:
@@ -236,7 +316,8 @@ class _Metric:
                     self._children[values] = child
         return child
 
-    def _items(self):
+    def children(self):
+        """``[(label_values, child), ...]`` for every label set seen."""
         if self._default is not None:
             return [((), self._default)]
         with self._children_lock:
@@ -245,7 +326,7 @@ class _Metric:
     def collect(self):
         """JSON-safe family dict (the ``metrics`` op wire format)."""
         samples = []
-        for values, child in self._items():
+        for values, child in self.children():
             samples.append(self._sample(dict(zip(self.labelnames, values)),
                                          child))
         return {
@@ -272,11 +353,6 @@ class Counter(_Metric):
     def value(self):
         return self._only_default().value
 
-    def _only_default(self):
-        if self._default is None:
-            raise ValueError(f"{self.name} requires .labels(...)")
-        return self._default
-
 
 class Gauge(_Metric):
     kind = "gauge"
@@ -293,14 +369,15 @@ class Gauge(_Metric):
     def set_function(self, fn):
         self._only_default().set_function(fn)
 
+    def inc(self, amount=1):
+        self._only_default().inc(amount)
+
+    def dec(self, amount=1):
+        self._only_default().dec(amount)
+
     @property
     def value(self):
         return self._only_default().value
-
-    def _only_default(self):
-        if self._default is None:
-            raise ValueError(f"{self.name} requires .labels(...)")
-        return self._default
 
 
 class Histogram(_Metric):
@@ -343,24 +420,40 @@ class Histogram(_Metric):
     def sum(self):
         return self._only_default().sum
 
-    def _only_default(self):
-        if self._default is None:
-            raise ValueError(f"{self.name} requires .labels(...)")
-        return self._default
+
+class Summary(_Metric):
+    kind = "summary"
+
+    def _make_child(self):
+        return _SummaryChild()
+
+    def _sample(self, labels, child):
+        total, count = child.totals()
+        return {
+            "labels": labels,
+            "quantiles": child.quantiles(),
+            "sum": total,
+            "count": count,
+        }
+
+    def observe(self, value, now=None):
+        self._only_default().observe(value, now)
 
 
 class MetricsRegistry:
     """Named metrics plus snapshot-time collector callbacks.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: repeated
-    registration with the same name returns the same object (and raises
-    if the type or labels disagree), so module-level instrumentation in
-    the engine can run under re-import and in any order.
+    ``counter``/``gauge``/``histogram``/``summary`` are get-or-create:
+    repeated registration with the same name returns the same object
+    (and raises if the type or labels disagree), so module-level
+    instrumentation in the engine can run under re-import and in any
+    order.
 
     Collectors are zero-arg callables returning an iterable of family
-    dicts, evaluated only at :meth:`collect` time — the serve layer uses
-    one to expose its existing per-circuit state without paying anything
-    on the request path.
+    dicts, evaluated only at :meth:`collect` time.  Each server keeps
+    its live state on a registry of its own and exports it into
+    :data:`REGISTRY` as a collector (its ``collect`` method) while it
+    runs, so servers sharing one process never mix their counts.
     """
 
     def __init__(self):
@@ -377,6 +470,9 @@ class MetricsRegistry:
     def histogram(self, name, help="", labelnames=(), buckets=DEFAULT_BUCKETS):
         return self._register(Histogram, name, help, labelnames,
                               buckets=buckets)
+
+    def summary(self, name, help="", labelnames=()):
+        return self._register(Summary, name, help, labelnames)
 
     def _register(self, cls, name, help, labelnames, **kwargs):
         with self._lock:
@@ -411,14 +507,15 @@ class MetricsRegistry:
                 pass
 
     def collect(self):
-        """All families (registered metrics + collectors), name-sorted."""
+        """All families (registered metrics + collectors), name-sorted;
+        same-name families from several sources share one entry."""
         with self._lock:
             metrics = list(self._metrics.values())
             collectors = list(self._collectors)
         families = [metric.collect() for metric in metrics]
         for fn in collectors:
             families.extend(fn())
-        return sorted(families, key=lambda fam: fam["name"])
+        return merge_families([(families, {})])
 
     def render(self):
         return render_prometheus(self.collect())
@@ -465,7 +562,6 @@ def render_prometheus(families: Iterable[Mapping]) -> str:
         for sample in family["samples"]:
             labels = sample.get("labels", {})
             if family["type"] == "histogram":
-                count = sample["count"]
                 for bound, cum in sample["buckets"]:
                     lines.append(_line(
                         name + "_bucket",
@@ -473,11 +569,19 @@ def render_prometheus(families: Iterable[Mapping]) -> str:
                         cum,
                     ))
                 lines.append(_line(name + "_bucket",
-                                   {**labels, "le": "+Inf"}, count))
-                lines.append(_line(name + "_sum", labels, sample["sum"]))
-                lines.append(_line(name + "_count", labels, count))
+                                   {**labels, "le": "+Inf"},
+                                   sample["count"]))
+            elif family["type"] == "summary":
+                for q, value in sample["quantiles"]:
+                    lines.append(_line(
+                        name, {**labels, "quantile": _format_value(q)},
+                        value,
+                    ))
             else:
                 lines.append(_line(name, labels, sample["value"]))
+                continue
+            lines.append(_line(name + "_sum", labels, sample["sum"]))
+            lines.append(_line(name + "_count", labels, sample["count"]))
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -517,9 +621,9 @@ def _validate_name(name):
         raise ValueError(f"invalid metric/label name: {name!r}")
 
 
-#: The process-wide default registry.  Engine and serve instrumentation
-#: register here at import time; ``GET /metrics`` and the ``metrics``
-#: protocol op read from it.
+#: The process-wide default registry.  Engine instrumentation registers
+#: here at import time and running servers export theirs into it;
+#: ``GET /metrics`` and the ``metrics`` protocol op read from it.
 REGISTRY = MetricsRegistry()
 
 

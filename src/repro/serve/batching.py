@@ -14,6 +14,10 @@ Error attribution: when a coalesced batch fails as a whole (one bad
 evidence variable, one zero-probability instance), the batcher falls
 back to per-request execution so each caller receives *its own* error —
 a stranger's malformed query never poisons a neighbor's answer.
+
+Each batcher counts its flushes on a :class:`MetricsRegistry` of its own
+(``problp_batch_size`` / ``problp_batch_wait_seconds`` by circuit and
+kind), which its server exports; a fail-over re-run is not a flush.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Any, Awaitable, Callable, Sequence
 
 from ..arith.fixedpoint import FixedPointFormat
 from ..arith.floatingpoint import FloatFormat
-from ..obs.metrics import REGISTRY
+from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import now_us
 
 AnyFormat = FixedPointFormat | FloatFormat
@@ -34,18 +38,6 @@ AnyFormat = FixedPointFormat | FloatFormat
 #: enough to stay invisible next to a tape replay.
 DEFAULT_BATCH_WINDOW = 0.002
 DEFAULT_MAX_BATCH = 256
-
-_WAIT_SECONDS = REGISTRY.histogram(
-    "problp_batch_wait_seconds",
-    "Time from a bucket's first request to its flush (coalesce wait).",
-    labelnames=("kind",),
-)
-_BATCH_SIZE = REGISTRY.histogram(
-    "problp_batch_size",
-    "Requests coalesced into one flushed batch.",
-    labelnames=("kind",),
-    buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
-)
 
 
 @dataclass(frozen=True)
@@ -61,30 +53,6 @@ class BatchKey:
     kind: str  # "eval" | "marginals" | "theta"
     fmt: AnyFormat | None = None
     joint: bool = False
-
-
-@dataclass
-class BatcherStats:
-    """Aggregate counters, surfaced by the server's ``ping`` op."""
-
-    requests: int = 0
-    batches: int = 0
-    largest_batch: int = 0
-
-    def record(self, size: int) -> None:
-        self.requests += size
-        self.batches += 1
-        self.largest_batch = max(self.largest_batch, size)
-
-    def to_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "largest_batch": self.largest_batch,
-            "mean_batch": (
-                self.requests / self.batches if self.batches else 0.0
-            ),
-        }
 
 
 class MicroBatcher:
@@ -115,7 +83,35 @@ class MicroBatcher:
         self._opened: dict[BatchKey, float] = {}
         self._timers: dict[BatchKey, asyncio.TimerHandle] = {}
         self._inflight: set[asyncio.Task] = set()
-        self.stats = BatcherStats()
+        self.metrics = MetricsRegistry()
+        self._wait_seconds = self.metrics.histogram(
+            "problp_batch_wait_seconds",
+            "Time from a bucket's first request to its flush "
+            "(coalesce wait).",
+            labelnames=("circuit", "kind"),
+        )
+        self._batch_size = self.metrics.histogram(
+            "problp_batch_size",
+            "Requests coalesced into one flushed batch.",
+            labelnames=("circuit", "kind"),
+            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
+        )
+        self.largest_batch = 0
+
+    def stats(self, circuit: str | None = None) -> dict:
+        """Flush counts from ``problp_batch_size``, for one circuit or all."""
+        requests = batches = 0
+        for (name, _kind), child in self._batch_size.children():
+            if circuit is None or name == circuit:
+                _, total, count = child.snapshot()
+                requests += int(total)
+                batches += count
+        return {
+            "requests": requests,
+            "batches": batches,
+            "largest_batch": self.largest_batch,
+            "mean_batch": requests / batches if batches else 0.0,
+        }
 
     def submit(self, key: BatchKey, request: Any, trace=None) -> Awaitable[Any]:
         """Enqueue one request; resolves to its scattered result.
@@ -156,11 +152,13 @@ class MicroBatcher:
     ) -> None:
         loop = asyncio.get_running_loop()
         requests = [request for request, _, _, _ in batch]
-        self.stats.record(len(requests))
+        self.largest_batch = max(self.largest_batch, len(requests))
         opened = self._opened.pop(key, None)
         if opened is not None:
-            _WAIT_SECONDS.labels(key.kind).observe(time.monotonic() - opened)
-        _BATCH_SIZE.labels(key.kind).observe(len(requests))
+            self._wait_seconds.labels(key.circuit, key.kind).observe(
+                time.monotonic() - opened
+            )
+        self._batch_size.labels(key.circuit, key.kind).observe(len(requests))
         execute_start = now_us()
         for _, _, _, wait_span in batch:
             if wait_span is not None:

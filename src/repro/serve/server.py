@@ -14,9 +14,11 @@ Connection handling rides the shared
 sharding/replication front uses), which also enforces the server's
 backpressure: per-connection and global in-flight limits answered with
 the typed ``overloaded`` error instead of unbounded buffering. Live
-per-circuit metrics (:mod:`repro.serve.metrics`) ride every request and
-surface through ``ping``/``circuits`` and the optional
-``--metrics-interval`` log line.
+per-circuit series (requests, errors, queue depth, a latency summary)
+sit on the server's own :class:`~repro.obs.metrics.MetricsRegistry`,
+next to its batcher's flush histograms; ``ping``/``circuits``, the
+optional ``--metrics-interval`` log line and the ``metrics`` op all
+read them from there.
 
 :class:`BackgroundServer` runs the whole thing on a dedicated event-loop
 thread — the embedding used by tests, the benchmark harness and the
@@ -37,7 +39,7 @@ import numpy as np
 
 from .. import __version__
 from ..arith.fixedpoint import FixedPointFormat
-from ..obs.metrics import METRICS_SCHEMA_VERSION, REGISTRY
+from ..obs.metrics import METRICS_SCHEMA_VERSION, REGISTRY, MetricsRegistry
 from ..obs.tracing import SpanRing, Trace
 from .batching import (
     DEFAULT_BATCH_WINDOW,
@@ -45,7 +47,6 @@ from .batching import (
     BatchKey,
     MicroBatcher,
 )
-from .metrics import ServeMetrics
 from .protocol import (
     STREAM_LIMIT,
     CircuitsRequest,
@@ -159,12 +160,39 @@ class ProbLPServer:
             max_batch=max_batch,
             executor=self._executor,
         )
-        self.metrics = ServeMetrics()
+        self.metrics = MetricsRegistry()
+        self.metrics.register_collector(self.batcher.metrics.collect)
+        started = time.monotonic()
+        self._uptime = self.metrics.gauge(
+            "problp_serve_uptime_seconds", "Server uptime (monotonic clock)."
+        )
+        self._uptime.set_function(lambda: time.monotonic() - started)
+        self._overloaded = self.metrics.counter(
+            "problp_serve_overloaded_total",
+            "Requests shed with the overloaded error code.",
+        )
+        self._requests = self.metrics.counter(
+            "problp_serve_requests_total",
+            "Finished requests per circuit.", ("circuit",),
+        )
+        self._errors = self.metrics.counter(
+            "problp_serve_errors_total",
+            "Finished requests that answered with an error.", ("circuit",),
+        )
+        self._queue_depth = self.metrics.gauge(
+            "problp_serve_queue_depth",
+            "Requests admitted but not yet answered.", ("circuit",),
+        )
+        self._latency = self.metrics.summary(
+            "problp_serve_latency_seconds",
+            "Request latency per circuit; quantiles over the last 512.",
+            ("circuit",),
+        )
         self.transport = NdjsonTransport(
             self._handle_request,
             max_inflight_per_connection=max_inflight_per_connection,
             max_inflight_total=max_inflight,
-            on_overload=self.metrics.record_overload,
+            on_overload=self._overloaded.inc,
         )
         self._metrics_interval = metrics_interval
         self._metrics_log = metrics_log or (
@@ -201,6 +229,7 @@ class ProbLPServer:
         )
         sockname = self._server.sockets[0].getsockname()
         self._host, self._port = sockname[0], sockname[1]
+        REGISTRY.register_collector(self.metrics.collect)
         if self._metrics_interval:
             self._metrics_task = asyncio.ensure_future(
                 self._metrics_loop(self._metrics_interval)
@@ -211,8 +240,69 @@ class ProbLPServer:
             await asyncio.sleep(interval)
             self._metrics_log(
                 f"problp serve [{self._host}:{self._port}] "
-                + self.metrics.log_line()
+                + self._log_line()
             )
+
+    # -- metrics snapshots ---------------------------------------------
+    def _touched_circuits(self) -> list[str]:
+        """Circuits that have seen a request (untouched ones stay absent)."""
+        return [name for (name,), _ in self._queue_depth.children()]
+
+    def _circuit_metrics(self, name: str) -> dict:
+        latency = self._latency.labels(name)
+        batching = self.batcher.stats(name)
+        payload = {
+            "requests": int(self._requests.labels(name).value),
+            "errors": int(self._errors.labels(name).value),
+            "qps": round(latency.rate(), 3),
+            "queue_depth": int(self._queue_depth.labels(name).value),
+            "batches": batching["batches"],
+            "mean_batch": batching["mean_batch"],
+        }
+        quantiles = latency.quantiles()
+        if quantiles:
+            (_, p50), (_, p99) = quantiles
+            payload["p50_ms"] = round(p50 * 1e3, 3)
+            payload["p99_ms"] = round(p99 * 1e3, 3)
+        return payload
+
+    def _metrics_snapshot(self) -> dict:
+        circuits = {
+            name: self._circuit_metrics(name)
+            for name in self._touched_circuits()
+        }
+        return {
+            "uptime_s": round(self._uptime.value, 3),
+            "overloaded": int(self._overloaded.value),
+            "requests": sum(c["requests"] for c in circuits.values()),
+            "qps": round(sum(c["qps"] for c in circuits.values()), 3),
+            "circuits": circuits,
+        }
+
+    def _log_line(self) -> str:
+        """One human-scannable line for ``--metrics-interval`` logging."""
+        snap = self._metrics_snapshot()
+        parts = [
+            f"qps={snap['qps']:g}",
+            f"requests={snap['requests']}",
+            f"overloaded={snap['overloaded']}",
+        ]
+        for name, circuit in snap["circuits"].items():
+            if not circuit["requests"]:
+                continue
+            detail = (
+                f"{name}: qps={circuit['qps']:g} "
+                f"depth={circuit['queue_depth']}"
+            )
+            if "p50_ms" in circuit:
+                detail += (
+                    f" p50={circuit['p50_ms']:g}ms "
+                    f"p99={circuit['p99_ms']:g}ms"
+                )
+            if circuit["batches"]:
+                detail += f" batch={circuit['mean_batch']:.1f}"
+            parts.append(detail)
+        return " | ".join(parts)
 
     async def serve_until_shutdown(self) -> None:
         """Serve until :meth:`request_shutdown` (or the shutdown op)."""
@@ -246,7 +336,7 @@ class ProbLPServer:
             await server.wait_closed()
         self.batcher.close()
         self._executor.shutdown(wait=True, cancel_futures=True)
-        self.metrics.close()
+        REGISTRY.unregister_collector(self.metrics.collect)
 
     # -- request handling ----------------------------------------------
     async def _handle_request(
@@ -258,8 +348,8 @@ class ProbLPServer:
         if circuit is None:
             return ok_response(request, await self._respond(request))
         trace = self._trace_for(request)
-        record = self.metrics.circuit(circuit)
-        record.queue_depth += 1
+        depth = self._queue_depth.labels(circuit)
+        depth.inc()
         start = time.monotonic()
         ok = False
         try:
@@ -271,8 +361,12 @@ class ProbLPServer:
         finally:
             if trace is not None and not ok:
                 self._finish_trace(trace, request, None, ok=False)
-            record.queue_depth -= 1
-            record.record(time.monotonic() - start, ok=ok)
+            depth.dec()
+            end = time.monotonic()
+            self._latency.labels(circuit).observe(end - start, now=end)
+            self._requests.labels(circuit).inc()
+            if not ok:
+                self._errors.labels(circuit).inc()
 
     def _trace_for(self, request: Request) -> Trace | None:
         """The trace context for one circuit request, or None.
@@ -343,11 +437,11 @@ class ProbLPServer:
                 "version": __version__,
                 "protocol": 1,
                 "circuits": len(self.registry),
-                "uptime_s": round(self.metrics.uptime_s, 3),
+                "uptime_s": round(self._uptime.value, 3),
                 "inflight": self.transport.inflight,
-                "batching": self.batcher.stats.to_dict(),
+                "batching": self.batcher.stats(),
                 "backends": self._backend_availability(),
-                "metrics": self.metrics.snapshot(),
+                "metrics": self._metrics_snapshot(),
                 "metrics_schema_version": METRICS_SCHEMA_VERSION,
                 # Protocol capabilities clients probe before relying on
                 # newer ops (θ tiles since PR 7, hot reload since PR 9,
@@ -367,10 +461,10 @@ class ProbLPServer:
             circuits = await loop.run_in_executor(
                 self._executor, self.registry.describe
             )
+            touched = set(self._touched_circuits())
             for info in circuits:
-                snapshot = self.metrics.circuit_snapshot(info["name"])
-                if snapshot is not None:
-                    info["metrics"] = snapshot
+                if info["name"] in touched:
+                    info["metrics"] = self._circuit_metrics(info["name"])
             return {"circuits": circuits}
         if isinstance(request, ShutdownRequest):
             if not self.allow_shutdown:
@@ -428,10 +522,9 @@ class ProbLPServer:
         }
         if payload["native"]:
             # Codegen v2 capabilities: int64 fixed *and* emulated-float
-            # word kernels, plus runtime-parameter (θ) entry points —
-            # clients probe these before routing quantized rasters.
+            # word kernels — clients probe these before routing
+            # quantized rasters.
             payload["native_formats"] = ["fixed", "float"]
-            payload["native_theta"] = True
         reason = native_unavailable_reason()
         if reason is not None:
             payload["native_unavailable_reason"] = reason
@@ -456,7 +549,6 @@ class ProbLPServer:
         self, key: BatchKey, requests: Sequence[Any]
     ) -> list[dict]:
         """One coalesced tape replay; one result dict per request."""
-        self.metrics.circuit(key.circuit).record_batch(len(requests))
         entry = self.registry.entry(key.circuit)
         session = entry.session
         batch = [request.evidence for request in requests]
@@ -556,11 +648,10 @@ class ProbLPServer:
         evidence_rows: list = []
         for request in requests:
             evidence_rows.extend([request.evidence] * len(request.theta))
-        # θ sweeps ride the runtime-parameter kernel entry points when
-        # the native module supports them; the side-effect-free planner
-        # tells us which backend this bucket actually lands on (and why
-        # not native, when it doesn't).
-        backend, fallback = session.dispatch_plan(fmt=key.fmt, theta=True)
+        # θ sweeps ride the runtime-parameter kernel entry points; the
+        # side-effect-free planner tells us which backend this bucket
+        # actually lands on (and why not native, when it doesn't).
+        backend, fallback = session.dispatch_plan(fmt=key.fmt)
         exact = session.evaluate_batch(evidence_rows, strict=True, theta=theta)
         quantized = (
             session.evaluate_quantized_batch(

@@ -254,30 +254,6 @@ class TestNativeInterplay:
         assert session.backend == "native"
         assert session.backend_fallback_reason is None
 
-    @pytest.mark.skipif(
-        not native_available(), reason="native toolchain unavailable"
-    )
-    def test_legacy_module_without_theta_support_falls_back(
-        self, sprinkler_binary, monkeypatch
-    ):
-        session = InferenceSession(sprinkler_binary, backend="native")
-        assert session.backend == "native"
-        monkeypatch.setattr(session._native, "supports_theta", lambda: False)
-        oracle = InferenceSession(sprinkler_binary, backend="numpy")
-        theta = theta_batch(oracle, 3, seed=13)
-        got = session.evaluate_theta_batch(theta)
-        want = oracle.evaluate_theta_batch(theta)
-        assert (got == want).all()
-        reason = session.backend_fallback_reason
-        assert reason is not None and "theta" in reason
-        # ...yet native keeps serving plain calls, clearing the reason.
-        batch = [{"Rain": 1}, {}]
-        assert (
-            session.evaluate_batch(batch) == oracle.evaluate_batch(batch)
-        ).all()
-        assert session.backend == "native"
-        assert session.backend_fallback_reason is None
-
     def test_numpy_policy_reports_no_reason(self, session):
         theta = theta_batch(session, 2, seed=14)
         session.evaluate_theta_batch(theta)

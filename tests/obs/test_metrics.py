@@ -10,6 +10,7 @@ children and assert the totals to the last increment.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -17,6 +18,8 @@ import pytest
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     METRICS_SCHEMA_VERSION,
+    RATE_HORIZON,
+    SUMMARY_WINDOW,
     MetricsRegistry,
     merge_families,
     render_prometheus,
@@ -125,6 +128,151 @@ class TestHistogramExactness:
         assert cumulative[-1] <= count
 
 
+class TestSummary:
+    @staticmethod
+    def _child():
+        return MetricsRegistry().summary(
+            "lat_seconds", "latency", labelnames=("circuit",)
+        ).labels("x")
+
+    def test_rate_decays_to_zero_when_idle(self):
+        child = self._child()
+        for _ in range(10):
+            child.observe(0.001, now=100.25)
+        assert child.rate(now=100.5) == pytest.approx(10 / RATE_HORIZON)
+        # Once every stamp is older than the horizon the rate is zero.
+        assert child.rate(now=100.25 + RATE_HORIZON + 0.1) == 0.0
+        assert child.rate(now=150.0) == 0.0
+
+    def test_rate_spans_a_window_filled_within_the_horizon(self):
+        child = self._child()
+        for index in range(SUMMARY_WINDOW):
+            child.observe(0.001, now=200.0 + index * 0.001)
+        now = 200.0 + SUMMARY_WINDOW * 0.001
+        assert child.rate(now=now) == pytest.approx(1000.0)
+
+    def test_window_is_bounded_but_totals_are_exact(self):
+        child = self._child()
+        for index in range(3000):
+            child.observe(index * 1e-4)
+        total, count = child.totals()
+        assert count == 3000
+        assert total == pytest.approx(sum(i * 1e-4 for i in range(3000)))
+        # Nearest-rank quantiles over the last 512 observations only:
+        # indexes 2488..2999.
+        (q50, p50), (q99, p99) = child.quantiles()
+        assert (q50, q99) == (0.5, 0.99)
+        assert p50 == pytest.approx((2488 + 255) * 1e-4)
+        assert p99 == pytest.approx((2488 + 506) * 1e-4)
+
+    def test_threaded_observations_are_exact(self):
+        child = self._child()
+        stop = threading.Event()
+        reads = []
+
+        def reader():
+            # Snapshots race the writers' appends to the shared window.
+            while not stop.is_set():
+                reads.append((child.quantiles(), child.rate()))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        watcher = threading.Thread(target=reader)
+        watcher.start()
+        try:
+            _hammer(lambda index: [
+                child.observe(float(index)) for _ in range(PER_THREAD)
+            ])
+        finally:
+            stop.set()
+            watcher.join(timeout=30)
+            sys.setswitchinterval(previous)
+        assert not watcher.is_alive() and reads
+        total, count = child.totals()
+        assert count == THREADS * PER_THREAD
+        assert total == PER_THREAD * sum(range(THREADS))
+        assert len(child._window) == SUMMARY_WINDOW
+
+    def test_empty_window_has_no_quantiles(self):
+        child = self._child()
+        assert child.quantiles() == []
+        assert child.rate() == 0.0
+
+    def test_exposition_lines(self):
+        registry = MetricsRegistry()
+        summary = registry.summary(
+            "lat_seconds", "latency", labelnames=("circuit",)
+        )
+        summary.labels("a").observe(0.5)
+        summary.labels("a").observe(0.25)
+        registry.summary("idle_seconds", "never observed")
+        text = registry.render()
+        assert "# TYPE lat_seconds summary\n" in text
+        assert 'lat_seconds{circuit="a",quantile="0.5"} 0.25\n' in text
+        assert 'lat_seconds{circuit="a",quantile="0.99"} 0.5\n' in text
+        assert 'lat_seconds_sum{circuit="a"} 0.75\n' in text
+        assert 'lat_seconds_count{circuit="a"} 2\n' in text
+        # An empty window renders no quantile lines, only the totals.
+        assert "idle_seconds{" not in text
+        assert "idle_seconds_sum 0\n" in text
+        assert "idle_seconds_count 0\n" in text
+        families = registry.collect()
+        assert json.loads(json.dumps(families)) == families
+
+    def test_merge_keeps_summaries_intact(self):
+        def families(value):
+            registry = MetricsRegistry()
+            registry.summary(
+                "lat_seconds", "latency", labelnames=("circuit",)
+            ).labels("a").observe(value)
+            return registry.collect()
+
+        merged = merge_families(
+            [
+                (families(0.1), {"shard": "0", "replica": "0"}),
+                (families(0.2), {"shard": "0", "replica": "1"}),
+            ]
+        )
+        (family,) = merged
+        assert family["type"] == "summary"
+        for sample, value in zip(family["samples"], (0.1, 0.2)):
+            assert sample["quantiles"] == [[0.5, value], [0.99, value]]
+            assert sample["sum"] == value and sample["count"] == 1
+        text = render_prometheus(merged)
+        assert (
+            'lat_seconds{circuit="a",quantile="0.5",replica="1",shard="0"}'
+            ' 0.2\n'
+        ) in text
+        assert (
+            'lat_seconds_count{circuit="a",replica="0",shard="0"} 1\n'
+        ) in text
+
+    def test_disable_skips_observations(self):
+        child = self._child()
+        set_enabled(False)
+        try:
+            child.observe(1.0)
+        finally:
+            set_enabled(True)
+        assert child.totals() == (0, 0)
+        assert child.quantiles() == []
+
+
+class TestGaugeLevels:
+    def test_inc_dec_pairs_ignore_the_kill_switch(self):
+        gauge = MetricsRegistry().gauge("depth", "d", labelnames=("k",))
+        child = gauge.labels("x")
+        child.inc()
+        set_enabled(False)
+        try:
+            child.inc(2)
+            child.dec()
+        finally:
+            set_enabled(True)
+        child.dec(2)
+        assert child.value == 0
+
+
 class TestRegistry:
     def test_get_or_create_is_idempotent(self):
         registry = MetricsRegistry()
@@ -164,6 +312,20 @@ class TestRegistry:
         )
         names = {family["name"] for family in registry.collect()}
         assert names == {"a_total", "b_gauge"}
+
+    def test_same_name_families_from_collectors_share_one_entry(self):
+        registry = MetricsRegistry()
+        servers = [MetricsRegistry(), MetricsRegistry()]
+        for index, server in enumerate(servers):
+            server.counter(
+                "served_total", "s", labelnames=("server",)
+            ).labels(str(index)).inc()
+            registry.register_collector(server.collect)
+        (family,) = registry.collect()
+        assert [s["labels"] for s in family["samples"]] == [
+            {"server": "0"}, {"server": "1"}
+        ]
+        assert registry.render().count("# TYPE served_total counter") == 1
 
     def test_collect_is_json_round_trippable(self):
         registry = MetricsRegistry()

@@ -122,13 +122,13 @@ class TestCoalescing:
                 *(batcher.submit(KEY, index) for index in range(5))
             )
             await batcher.drain()
-            return batcher.stats
+            return batcher.stats()
 
         stats = asyncio.run(scenario())
-        assert stats.requests == 5
-        assert stats.batches == 2
-        assert stats.largest_batch == 4
-        assert stats.to_dict()["mean_batch"] == pytest.approx(2.5)
+        assert stats["requests"] == 5
+        assert stats["batches"] == 2
+        assert stats["largest_batch"] == 4
+        assert stats["mean_batch"] == pytest.approx(2.5)
 
 
 class TestDrain:

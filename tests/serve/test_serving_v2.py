@@ -13,16 +13,14 @@ import time
 
 import pytest
 
+from repro.obs import set_enabled
 from repro.serve import (
     BackgroundServer,
-    CircuitMetrics,
     CircuitRegistry,
     CircuitSource,
     ClientPool,
-    RateMeter,
     ServeClient,
     ServeError,
-    ServeMetrics,
 )
 
 
@@ -188,37 +186,97 @@ class TestMetricsSurface:
         assert lines
         assert "qps=" in lines[0] and "sprinkler" in lines[0]
 
-
-class TestMetricsUnits:
-    def test_rate_meter_decays_between_buckets(self):
-        meter = RateMeter(window=1.0)
-        for _ in range(10):
-            meter.tick(now=100.25)
-        assert meter.rate(now=100.5) == pytest.approx(10.0)
-        # A whole idle bucket later the blended estimate has decayed.
-        assert meter.rate(now=101.9) < 2.0
-        assert meter.rate(now=150.0) == 0.0
-
-    def test_latency_ring_is_bounded(self):
-        record = CircuitMetrics("x")
-        for index in range(3000):
-            record.record(index * 1e-4)
-        assert len(record._latencies) == 512
-        snapshot = record.snapshot()
-        assert snapshot["requests"] == 3000
-        assert snapshot["p99_ms"] >= snapshot["p50_ms"] > 0.0
-
     def test_server_snapshot_aggregates_circuits(self):
-        metrics = ServeMetrics()
-        metrics.circuit("a").record(0.001)
-        metrics.circuit("b").record(0.002, ok=False)
-        metrics.record_overload()
-        snapshot = metrics.snapshot()
+        lines = []
+        with BackgroundServer(
+            fresh_registry("sprinkler", "asia"),
+            batch_window=0.1,
+            max_inflight_per_connection=1,
+            metrics_interval=0.05,
+            metrics_log=lines.append,
+        ) as server:
+            with ServeClient(server.host, server.port) as client:
+                # The second pipelined request is shed: one in flight.
+                responses = client.request_many(
+                    {"op": "eval", "circuit": name, "evidence": {}}
+                    for name in ("sprinkler", "asia")
+                )
+                assert [r.error_code for r in responses] == [
+                    None, "overloaded"
+                ]
+                client.eval("asia", {})
+                snapshot = client.ping()["metrics"]
+            deadline = time.monotonic() + 5
+            while not any("asia:" in line for line in lines):
+                assert time.monotonic() < deadline, lines
+                time.sleep(0.01)
         assert snapshot["requests"] == 2
         assert snapshot["overloaded"] == 1
-        assert set(snapshot["circuits"]) == {"a", "b"}
-        line = metrics.log_line()
-        assert "overloaded=1" in line and "a:" in line
+        assert set(snapshot["circuits"]) == {"sprinkler", "asia"}
+        line = next(line for line in lines if "asia:" in line)
+        assert "requests=2" in line and "overloaded=1" in line
+        assert "sprinkler:" in line
+
+    def test_failed_over_batch_counts_once(self):
+        # One zero-evidence row fails the coalesced batch, which then
+        # re-runs per request; the re-runs are not flushes of their own.
+        good = {"op": "marginals", "circuit": "sprinkler",
+                "evidence": {"Rain": 1}}
+        bad = {**good, "evidence": {"Sprinkler": 0, "Rain": 0,
+                                    "WetGrass": 1}}
+        with BackgroundServer(
+            fresh_registry("sprinkler"), batch_window=0.05
+        ) as server:
+            with ServeClient(server.host, server.port) as client:
+                responses = client.request_many([good, good, bad, good])
+                info = client.ping()
+                families = client.metrics()["families"]
+        assert [r.ok for r in responses] == [True, True, False, True]
+        assert info["batching"]["requests"] == 4
+        assert info["batching"]["batches"] == 1
+        assert info["batching"]["mean_batch"] == 4.0
+        stats = info["metrics"]["circuits"]["sprinkler"]
+        assert stats["batches"] == 1
+        assert stats["mean_batch"] == 4.0
+        (family,) = [f for f in families if f["name"] == "problp_batch_size"]
+        (sample,) = [
+            s for s in family["samples"]
+            if s["labels"] == {"circuit": "sprinkler", "kind": "marginals"}
+        ]
+        assert sample["count"] == 1
+        assert sample["sum"] == 4
+
+    def test_queue_depth_survives_a_kill_switch_toggle(self):
+        # The depth gauge rises at admission and falls at the answer;
+        # disabling metrics in between must not strand it at one.
+        with BackgroundServer(
+            fresh_registry("sprinkler"), batch_window=0.3
+        ) as server:
+            with ServeClient(server.host, server.port) as client, \
+                    ServeClient(server.host, server.port) as probe:
+
+                def depth():
+                    circuits = probe.ping()["metrics"]["circuits"]
+                    return circuits.get("sprinkler", {}).get("queue_depth")
+
+                answers = []
+                worker = threading.Thread(
+                    target=lambda: answers.append(
+                        client.eval("sprinkler", {})
+                    )
+                )
+                worker.start()
+                try:
+                    deadline = time.monotonic() + 5
+                    while depth() != 1:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.005)
+                    set_enabled(False)
+                    worker.join(timeout=30)
+                finally:
+                    set_enabled(True)
+                assert answers and answers[0]["value"] == 1.0
+                assert depth() == 0
 
 
 # ---------------------------------------------------------------------------
