@@ -11,9 +11,10 @@ on the binarized Alarm circuit:
   vectorized tape replays and scatters the answers back.
 
 Both modes run against the same server with the same ``batch_window=0``
-configuration (the window only opens when concurrency exists, so lone
-sequential requests pay no waiting penalty — the comparison isolates
-*coalescing*, not added latency). The speedup is asserted ≥ 5× for
+configuration. Batching is continuous, so the window only opens when
+concurrency exists: a lone sequential request runs on the next loop
+tick with no waiting penalty, and the comparison isolates *coalescing*,
+not added latency. The speedup is asserted ≥ 5× for
 exact float64 evaluation, quantized evaluation and all-marginals
 serving; answers are additionally checked bit-identical to direct
 :class:`InferenceSession` calls. Results are persisted as a stamped

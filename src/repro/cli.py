@@ -1049,9 +1049,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-window-ms",
         type=float,
         default=2.0,
-        help="micro-batching window: concurrent requests against the "
-        "same (circuit, format, workload) coalesce into one vectorized "
-        "tape replay (default 2 ms)",
+        help="upper bound on micro-batching wait: requests against the "
+        "same (circuit, format, workload) that arrive while a batch of "
+        "theirs runs coalesce into one vectorized tape replay, run when "
+        "that batch finishes or after this long, whichever is first; an "
+        "idle key never waits (default 2 ms)",
     )
     serve.add_argument(
         "--max-batch",

@@ -3,12 +3,21 @@
 Single queries are the natural unit for clients, but the engine's unit
 of throughput is the *batch*: one vectorized tape replay answers a whole
 evidence batch for nearly the cost of one query. The
-:class:`MicroBatcher` bridges the two — concurrent requests that agree
-on a :class:`BatchKey` (circuit, workload kind, format) are held for a
-small window (or until ``max_batch`` accumulate), executed as **one**
+:class:`MicroBatcher` bridges the two by batching *continuously*:
+requests that agree on a :class:`BatchKey` (circuit, workload kind,
+format) join one bucket, and the bucket is executed as **one**
 ``evaluate_batch`` / ``marginals_batch`` / ``quantized_marginals_batch``
-call on a worker thread, and the per-row results are scattered back to
-each request's future.
+call on a worker thread, its per-row results scattered back to each
+request's future.
+
+When should a bucket go? When no batch of its key is executing, on the
+next event-loop tick, so a lone request never waits and a pipelined
+burst read in one tick still forms one batch. While a batch of its key
+runs, the bucket collects everything that arrives meanwhile and goes
+when that batch finishes, when ``max_batch`` requests have gathered, or
+when ``window`` seconds have passed since its first request, whichever
+comes first. The window is therefore an upper bound on coalescing wait,
+never a floor.
 
 Error attribution: when a coalesced batch fails as a whole (one bad
 evidence variable, one zero-probability instance), the batcher falls
@@ -17,7 +26,8 @@ a stranger's malformed query never poisons a neighbor's answer.
 
 Each batcher counts its flushes on a :class:`MetricsRegistry` of its own
 (``problp_batch_size`` / ``problp_batch_wait_seconds`` by circuit and
-kind), which its server exports; a fail-over re-run is not a flush.
+kind), which its server exports; a fail-over re-run is not a flush and
+does not start one.
 """
 
 from __future__ import annotations
@@ -34,8 +44,8 @@ from ..obs.tracing import now_us
 
 AnyFormat = FixedPointFormat | FloatFormat
 
-#: Coalescing window. Long enough to gather a pipelined burst, short
-#: enough to stay invisible next to a tape replay.
+#: Upper bound on how long a bucket waits behind a running batch of its
+#: key before it executes anyway, concurrently. An idle key never waits.
 DEFAULT_BATCH_WINDOW = 0.002
 DEFAULT_MAX_BATCH = 256
 
@@ -56,13 +66,19 @@ class BatchKey:
 
 
 class MicroBatcher:
-    """Coalesce per-key requests within a window; scatter results back.
+    """Coalesce per-key requests continuously; scatter results back.
 
     ``dispatch(key, requests)`` is the (blocking) batch executor — it
     runs on ``executor`` via ``run_in_executor`` and must return one
     result per request, in order. The batcher itself lives on the event
     loop: ``submit`` is the only entry point and must be awaited on the
     loop thread.
+
+    A bucket whose key has no batch executing flushes on the next loop
+    tick. Otherwise it flushes when that batch finishes, when it holds
+    ``max_batch`` requests, or ``window`` seconds after its first
+    request, whichever is first: ``window`` bounds the coalescing wait
+    from above and is never a floor.
     """
 
     def __init__(
@@ -81,7 +97,10 @@ class MicroBatcher:
         self._executor = executor
         self._pending: dict[BatchKey, list[tuple]] = {}
         self._opened: dict[BatchKey, float] = {}
-        self._timers: dict[BatchKey, asyncio.TimerHandle] = {}
+        self._timers: dict[BatchKey, asyncio.Handle] = {}
+        # Batches of each key between flush and finish (fail-over
+        # re-runs included); a key absent here is idle.
+        self._running: dict[BatchKey, int] = {}
         self._inflight: set[asyncio.Task] = set()
         self.metrics = MetricsRegistry()
         self._wait_seconds = self.metrics.histogram(
@@ -130,10 +149,16 @@ class MicroBatcher:
         if len(bucket) >= self.max_batch:
             self._flush(key)
         elif len(bucket) == 1:
-            # First request of a fresh bucket opens the window.
-            self._timers[key] = loop.call_later(
-                self.window, self._flush, key
-            )
+            if key in self._running:
+                # Coalesce behind the running batch, but no longer than
+                # the window: then this bucket runs beside it.
+                self._timers[key] = loop.call_later(
+                    self.window, self._flush, key
+                )
+            else:
+                # Idle key: go on the next tick, after the requests
+                # already scheduled this tick have joined the bucket.
+                self._timers[key] = loop.call_soon(self._flush, key)
         return future
 
     def _flush(self, key: BatchKey) -> None:
@@ -141,19 +166,38 @@ class MicroBatcher:
         if timer is not None:
             timer.cancel()
         batch = self._pending.pop(key, None)
+        opened = self._opened.pop(key, None)
         if not batch:
             return
-        task = asyncio.ensure_future(self._run(key, batch))
+        self._running[key] = self._running.get(key, 0) + 1
+        task = asyncio.ensure_future(self._run(key, batch, opened))
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
+    def _finished(self, key: BatchKey) -> None:
+        """One batch of ``key`` is done: its waiting bucket goes now."""
+        left = self._running[key] - 1
+        if left:
+            self._running[key] = left
+        else:
+            del self._running[key]
+        if key in self._pending:
+            self._flush(key)
+
     async def _run(
-        self, key: BatchKey, batch: list[tuple]
+        self, key: BatchKey, batch: list[tuple], opened: float | None
+    ) -> None:
+        try:
+            await self._execute(key, batch, opened)
+        finally:
+            self._finished(key)
+
+    async def _execute(
+        self, key: BatchKey, batch: list[tuple], opened: float | None
     ) -> None:
         loop = asyncio.get_running_loop()
         requests = [request for request, _, _, _ in batch]
         self.largest_batch = max(self.largest_batch, len(requests))
-        opened = self._opened.pop(key, None)
         if opened is not None:
             self._wait_seconds.labels(key.circuit, key.kind).observe(
                 time.monotonic() - opened
@@ -222,14 +266,18 @@ class MicroBatcher:
             future.set_result(result)
 
     async def drain(self) -> None:
-        """Flush every open window and wait for in-flight batches."""
-        for key in list(self._pending):
-            self._flush(key)
-        while self._inflight:
+        """Flush every bucket and wait until no batch is in flight."""
+        while self._pending or self._inflight:
+            for key in list(self._pending):
+                self._flush(key)
             await asyncio.gather(*list(self._inflight), return_exceptions=True)
 
     def close(self) -> None:
-        """Cancel timers and reject whatever is still queued."""
+        """Cancel timers and reject whatever is still queued.
+
+        Batches already executing run to completion and resolve their
+        own futures.
+        """
         for timer in self._timers.values():
             timer.cancel()
         self._timers.clear()

@@ -4,8 +4,10 @@
 :mod:`repro.serve.protocol` over TCP (stdlib ``asyncio`` only). Its
 core is the :class:`~repro.serve.batching.MicroBatcher`: concurrent
 ``eval``/``marginals`` requests against the same (circuit, format,
-workload) coalesce within a small window and are answered by **one**
-vectorized tape replay, results scattered back per request. Heavyweight
+workload) are answered by **one** vectorized tape replay, results
+scattered back per request. Batching is continuous: an idle key runs on
+the next loop tick, and requests that arrive during a running batch
+coalesce behind it for at most the batch window. Heavyweight
 one-off work (``optimize`` format searches, ``hw`` design reports) runs
 on the same worker thread pool without batching.
 
@@ -102,7 +104,9 @@ class ProbLPServer:
         Bind address; port 0 picks an ephemeral port (read ``.port``
         after :meth:`start`).
     batch_window, max_batch:
-        Micro-batching knobs (seconds, requests).
+        Micro-batching knobs (seconds, requests): the upper bound on how
+        long requests coalesce behind a running batch of their key, and
+        the largest batch.
     allow_shutdown:
         Honor the ``shutdown`` op. Off by default; the sharding layer
         enables it on its (loopback-bound) workers for graceful drain.

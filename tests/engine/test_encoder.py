@@ -1,6 +1,9 @@
 """EvidenceEncoder vs the circuit's reference indicator semantics."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ac.circuit import ArithmeticCircuit
 from repro.engine import EvidenceEncoder, tape_for
@@ -90,3 +93,118 @@ class TestEncodeBatch:
         encoder, _ = encoder_and_circuit()
         with pytest.raises(ValueError, match=r"\['Y', 'Z'\]"):
             encoder.encode([{"Z": 0}, {"Y": 1}, {"A": 0}], strict=True)
+
+
+# ---------------------------------------------------------------------------
+# Properties: encode(batch) == encode_one(row) == indicator_assignment(row)
+# ---------------------------------------------------------------------------
+
+_VARIABLES = ("A", "B", "C", "D", "E")
+_UNKNOWN = ("Y", "Z")
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def indicator_circuits(draw):
+    """A sum over λ leaves: 1–5 variables, each with a non-empty set of
+    (possibly sparse) states, added in a drawn order."""
+    variables = draw(
+        st.lists(st.sampled_from(_VARIABLES), min_size=1, unique=True)
+    )
+    keys = [
+        (variable, state)
+        for variable in variables
+        for state in draw(
+            st.sets(st.integers(0, 6), min_size=1, max_size=4)
+        )
+    ]
+    circuit = ArithmeticCircuit()
+    leaves = [
+        circuit.add_indicator(variable, state)
+        for variable, state in draw(st.permutations(keys))
+    ]
+    circuit.set_root(circuit.add_sum(leaves))
+    return circuit
+
+
+def state_values():
+    """Evidence values as callers pass them: seen, unseen and negative
+    states, extreme int64s, bools and numpy integer scalars."""
+    small = st.integers(-3, 8)
+    return st.one_of(
+        small,
+        _INT64,
+        st.booleans(),
+        small.map(np.int64),
+        small.map(np.int32),
+        st.booleans().map(np.bool_),
+    )
+
+
+def evidence_batches(names=_VARIABLES + _UNKNOWN):
+    return st.lists(
+        st.dictionaries(st.sampled_from(names), state_values(), max_size=7),
+        max_size=8,
+    )
+
+
+def assert_columns_match(circuit, matrix, batch):
+    """Every column equals encode_one and indicator_assignment."""
+    encoder = EvidenceEncoder.for_circuit(circuit)
+    keys = tape_for(circuit).indicator_keys
+    assert matrix.dtype == bool
+    assert matrix.shape == (encoder.num_indicators, len(batch))
+    for column, evidence in enumerate(batch):
+        known = {
+            variable: value
+            for variable, value in evidence.items()
+            if variable in encoder.variables
+        }
+        np.testing.assert_array_equal(
+            matrix[:, column], encoder.encode_one(evidence, strict=False)
+        )
+        reference = circuit.indicator_assignment(known)
+        assert matrix[:, column].tolist() == [
+            reference[key] == 1.0 for key in keys
+        ], (evidence, keys)
+
+
+class TestEncodeProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(circuit=indicator_circuits(), batch=evidence_batches())
+    def test_lenient_columns_match_scalar_semantics(self, circuit, batch):
+        encoder = EvidenceEncoder.for_circuit(circuit)
+        assert_columns_match(circuit, encoder.encode(batch), batch)
+
+    @settings(max_examples=200, deadline=None)
+    @given(circuit=indicator_circuits(), batch=evidence_batches())
+    def test_strict_rejects_exactly_the_unknown_variables(
+        self, circuit, batch
+    ):
+        encoder = EvidenceEncoder.for_circuit(circuit)
+        unknown = sorted(
+            {v for evidence in batch for v in evidence} - set(encoder.variables)
+        )
+        if unknown:
+            with pytest.raises(ValueError, match="no indicators") as raised:
+                encoder.encode(batch, strict=True)
+            assert str(unknown) in str(raised.value)
+            return
+        matrix = encoder.encode(batch, strict=True)
+        assert_columns_match(circuit, matrix, batch)
+        for column, evidence in enumerate(batch):
+            np.testing.assert_array_equal(
+                matrix[:, column], encoder.encode_one(evidence)
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        circuit=indicator_circuits(),
+        rows=st.integers(0, 8),
+        strict=st.booleans(),
+    )
+    def test_empty_evidence_is_all_ones(self, circuit, rows, strict):
+        encoder = EvidenceEncoder.for_circuit(circuit)
+        matrix = encoder.encode([{}] * rows, strict=strict)
+        assert matrix.shape == (encoder.num_indicators, rows)
+        assert matrix.all()

@@ -19,6 +19,7 @@ from repro.serve import (
     CircuitRegistry,
     CircuitSource,
     ClientPool,
+    ProbLPServer,
     ServeClient,
     ServeError,
 )
@@ -28,6 +29,26 @@ def fresh_registry(*names):
     return CircuitRegistry(
         [CircuitSource(name, "builtin") for name in names]
     )
+
+
+@pytest.fixture
+def dispatch_gate(monkeypatch):
+    """Park every batch of servers built in the test until ``set()``.
+
+    The gate wraps the server's batch executor, so a request held by it
+    is admitted and queued but not answered — deterministically, where
+    a long batch window only delays an idle key's flush by chance.
+    """
+    gate = threading.Event()
+    execute = ProbLPServer._execute_batch
+
+    def gated(self, key, requests):
+        assert gate.wait(timeout=30)
+        return execute(self, key, requests)
+
+    monkeypatch.setattr(ProbLPServer, "_execute_batch", gated)
+    yield gate
+    gate.set()
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +267,11 @@ class TestMetricsSurface:
         assert sample["count"] == 1
         assert sample["sum"] == 4
 
-    def test_queue_depth_survives_a_kill_switch_toggle(self):
+    def test_queue_depth_survives_a_kill_switch_toggle(self, dispatch_gate):
         # The depth gauge rises at admission and falls at the answer;
-        # disabling metrics in between must not strand it at one.
-        with BackgroundServer(
-            fresh_registry("sprinkler"), batch_window=0.3
-        ) as server:
+        # disabling metrics in between must not strand it at one. The
+        # gate holds the request between the two.
+        with BackgroundServer(fresh_registry("sprinkler")) as server:
             with ServeClient(server.host, server.port) as client, \
                     ServeClient(server.host, server.port) as probe:
 
@@ -272,8 +292,10 @@ class TestMetricsSurface:
                         assert time.monotonic() < deadline
                         time.sleep(0.005)
                     set_enabled(False)
+                    dispatch_gate.set()
                     worker.join(timeout=30)
                 finally:
+                    dispatch_gate.set()
                     set_enabled(True)
                 assert answers and answers[0]["value"] == 1.0
                 assert depth() == 0
