@@ -395,7 +395,7 @@ class TestObsOverhead:
     Stamped into ``serving_obs_overhead.json`` for the CI artifact.
     """
 
-    ROUNDS = 6
+    ROUNDS = 40
     REQUESTS_PER_ROUND = 40
 
     def _served_p50s(self, client, request) -> dict[bool, float]:

@@ -1,15 +1,26 @@
 """The arithmetic circuit container.
 
-:class:`ArithmeticCircuit` stores nodes in an arena list that is
-topologically ordered by construction: an operator's children must already
-exist when the operator is added. This makes every downstream pass — real
-and quantized evaluation, bound propagation, extreme-value analysis,
-hardware generation — a single forward sweep over ``circuit.nodes``.
+:class:`ArithmeticCircuit` stores nodes in an append-only arena list that
+is topologically ordered by construction: an operator's children must
+already exist when the operator is added. This makes every downstream
+pass — real and quantized evaluation, bound propagation, extreme-value
+analysis, hardware generation — a single forward sweep over
+``circuit.nodes``.
 
 The builder performs common-subexpression elimination by default:
 structurally identical nodes (same op and children, or same parameter
 value) are shared, which mirrors the sharing an AC compiler like ACE
-produces.
+produces. The CSE table is consulted before a :class:`Node` is built, so
+a hit costs one dict lookup.
+
+Because the arena only ever grows, the structural facts of a node never
+change once it is inserted. The builder records them at insertion — each
+node's operator depth, the per-op node counts, the deepest depth and the
+largest operator fan-in — so :attr:`ArithmeticCircuit.is_binary`,
+:meth:`ArithmeticCircuit.stats` and :meth:`ArithmeticCircuit.depths`
+read stored values instead of walking the arena. ``_intern`` and
+``add_indicator`` are the only writers of the arena, and both record
+the facts of what they append.
 """
 
 from __future__ import annotations
@@ -46,25 +57,47 @@ class ArithmeticCircuit:
         self._nodes: list[Node] = []
         self._root: int | None = None
         self._dedup = dedup
+        #: Stays empty when ``dedup`` is off, so every lookup misses.
         self._cse: dict[tuple, int] = {}
         self._indicators: dict[tuple[str, int], int] = {}
+        # Structural facts, recorded as each node is appended. Hot paths
+        # key by ``op._value_``, a plain attribute: ``op.value`` is an
+        # enum property, and an OpType key hashes in Python code.
+        self._depths: list[int] = []
+        self._counts: dict[str, int] = {op._value_: 0 for op in OpType}
+        self._depth = 0
+        self._max_fanin = 0
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _intern(self, key: tuple, node: Node) -> int:
-        if self._dedup and key in self._cse:
-            return self._cse[key]
+    def _intern(self, key: tuple, node: Node, depth: int = 0) -> int:
+        """Append ``node``, whose ``key`` missed the CSE table.
+
+        Records the node's facts: its operator ``depth`` (0 for leaves),
+        its op count and its fan-in.
+        """
         index = len(self._nodes)
         self._nodes.append(node)
+        self._depths.append(depth)
+        self._counts[node.op._value_] += 1
+        if depth > self._depth:
+            self._depth = depth
+        fanin = len(node.children)
+        if fanin > self._max_fanin:
+            self._max_fanin = fanin
         if self._dedup:
             self._cse[key] = index
         return index
 
     def add_parameter(self, value: float, label: str | None = None) -> int:
         """Add (or reuse) a θ leaf with the given real value."""
-        node = Node(OpType.PARAMETER, value=float(value), label=label)
-        return self._intern(("p", float(value)), node)
+        value = float(value)
+        key = ("p", value)
+        index = self._cse.get(key)
+        if index is not None:
+            return index
+        return self._intern(key, Node(OpType.PARAMETER, value=value, label=label))
 
     def add_indicator(self, variable: str, state: int) -> int:
         """Add (or reuse) the λ leaf for ``variable = state``."""
@@ -73,24 +106,50 @@ class ArithmeticCircuit:
             return self._indicators[key]
         index = len(self._nodes)
         self._nodes.append(Node(OpType.INDICATOR, variable=variable, state=int(state)))
+        self._depths.append(0)
+        self._counts["indicator"] += 1
         self._indicators[key] = index
         return index
 
     def _add_operator(self, op: OpType, children: Sequence[int]) -> int:
-        children = tuple(int(c) for c in children)
+        children = tuple(map(int, children))
         if not children:
             raise ValueError(f"{op.value} node needs at least one child")
-        for child in children:
-            if not 0 <= child < len(self._nodes):
-                raise ValueError(
-                    f"child index {child} out of range "
-                    f"(circuit has {len(self._nodes)} nodes)"
-                )
+        size = len(self._nodes)
+        if min(children) < 0 or max(children) >= size:
+            child = next(c for c in children if not 0 <= c < size)
+            raise ValueError(
+                f"child index {child} out of range (circuit has {size} nodes)"
+            )
         if len(children) == 1:
             # A unary sum/product/max is the identity; don't materialize it.
             return children[0]
-        key = (op.value,) + tuple(sorted(children))
-        return self._intern(key, Node(op, children=children))
+        key = (op._value_, *sorted(children))
+        index = self._cse.get(key)
+        if index is not None:
+            return index
+        depths = self._depths
+        depth = 1 + max([depths[child] for child in children])
+        return self._intern(key, Node(op, children=children), depth)
+
+    def _add_pair(self, op: OpType, left: int, right: int) -> int:
+        """A two-input ``op`` over indices this circuit handed out.
+
+        The path :func:`~repro.ac.transform.binarize` builds through: the
+        indices come from this builder, so they are neither coerced nor
+        range-checked again, and the sorted CSE key is looked up before
+        any :class:`Node` is built. Equivalent to
+        ``_add_operator(op, [left, right])``.
+        """
+        if left <= right:
+            key = (op._value_, left, right)
+        else:
+            key = (op._value_, right, left)
+        index = self._cse.get(key)
+        if index is not None:
+            return index
+        depth = 1 + max(self._depths[left], self._depths[right])
+        return self._intern(key, Node(op, children=(left, right)), depth)
 
     def add_sum(self, children: Sequence[int]) -> int:
         return self._add_operator(OpType.SUM, children)
@@ -158,38 +217,25 @@ class ArithmeticCircuit:
 
     def depths(self) -> list[int]:
         """Operator depth of each node (leaves are 0)."""
-        depths = [0] * len(self._nodes)
-        for index, node in enumerate(self._nodes):
-            if node.children:
-                depths[index] = 1 + max(depths[c] for c in node.children)
-        return depths
+        return list(self._depths)
 
     def stats(self) -> CircuitStats:
-        counts = {op: 0 for op in OpType}
-        max_fanin = 0
-        for node in self._nodes:
-            counts[node.op] += 1
-            max_fanin = max(max_fanin, len(node.children))
-        depths = self.depths()
+        counts = self._counts
         return CircuitStats(
             num_nodes=len(self._nodes),
-            num_sums=counts[OpType.SUM],
-            num_products=counts[OpType.PRODUCT],
-            num_max=counts[OpType.MAX],
-            num_parameters=counts[OpType.PARAMETER],
-            num_indicators=counts[OpType.INDICATOR],
-            depth=max(depths) if depths else 0,
-            max_fanin=max_fanin,
+            num_sums=counts["sum"],
+            num_products=counts["product"],
+            num_max=counts["max"],
+            num_parameters=counts["parameter"],
+            num_indicators=counts["indicator"],
+            depth=self._depth,
+            max_fanin=self._max_fanin,
         )
 
     @property
     def is_binary(self) -> bool:
         """True when every operator has at most two inputs."""
-        return all(
-            len(node.children) <= 2
-            for node in self._nodes
-            if node.op.is_operator
-        )
+        return self._max_fanin <= 2
 
     def reachable_from_root(self) -> set[int]:
         """Indices of all nodes in the cone of the root."""

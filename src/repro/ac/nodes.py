@@ -15,7 +15,12 @@ from enum import Enum
 
 
 class OpType(Enum):
-    """The kinds of AC nodes."""
+    """The kinds of AC nodes.
+
+    ``is_leaf`` and ``is_operator`` are plain per-member attributes, set
+    once when the enum is created: every circuit build and sweep reads
+    them per node.
+    """
 
     SUM = "sum"
     PRODUCT = "product"
@@ -23,13 +28,9 @@ class OpType(Enum):
     PARAMETER = "parameter"
     INDICATOR = "indicator"
 
-    @property
-    def is_leaf(self) -> bool:
-        return self in (OpType.PARAMETER, OpType.INDICATOR)
-
-    @property
-    def is_operator(self) -> bool:
-        return not self.is_leaf
+    def __init__(self, value: str) -> None:
+        self.is_leaf: bool = value in ("parameter", "indicator")
+        self.is_operator: bool = not self.is_leaf
 
 
 #: Operator types that the hardware generator can emit.

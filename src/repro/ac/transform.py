@@ -7,6 +7,13 @@ evaluation and error-bound analysis. ``strategy="balanced"`` builds
 minimum-depth trees (shallower pipelines, smaller float error constants);
 ``strategy="chain"`` builds left-to-right chains, provided for the
 ablation study on decomposition shape.
+
+Transforms build their result through the
+:class:`~repro.ac.circuit.ArithmeticCircuit` builder, so it carries the
+same CSE sharing and stored O(1) facts (``is_binary``, ``stats()``,
+``depths()``) as any other circuit. ``binarize`` emits each two-input
+operator through the builder's pair path: the same node sequence as the
+n-ary ``add_*`` calls, without their per-call coercion and range checks.
 """
 
 from __future__ import annotations
@@ -35,23 +42,24 @@ def _combine(
     children: list[int],
     strategy: str,
 ) -> int:
-    """Reduce ``children`` to one node with a tree of 2-input ``op`` nodes."""
-    add = {
-        OpType.SUM: circuit.add_sum,
-        OpType.PRODUCT: circuit.add_product,
-        OpType.MAX: circuit.add_max,
-    }[op]
+    """Reduce ``children`` to one node with a tree of 2-input ``op`` nodes.
+
+    ``children`` are indices ``circuit`` handed out, so each pair takes
+    the builder's unchecked two-input path.
+    """
+    add_pair = circuit._add_pair
     if strategy == "chain":
         result = children[0]
         for child in children[1:]:
-            result = add([result, child])
+            result = add_pair(op, result, child)
         return result
     # Balanced: repeatedly pair up adjacent nodes.
-    level = list(children)
+    level = children
     while len(level) > 1:
-        next_level = []
-        for i in range(0, len(level) - 1, 2):
-            next_level.append(add([level[i], level[i + 1]]))
+        next_level = [
+            add_pair(op, level[i], level[i + 1])
+            for i in range(0, len(level) - 1, 2)
+        ]
         if len(level) % 2:
             next_level.append(level[-1])
         level = next_level

@@ -99,7 +99,10 @@ FLT_OK, FLT_OVERFLOW, FLT_UNDERFLOW = -1, 1, 2
 
 
 def _c_int_array(name: str, values: np.ndarray | list[int]) -> str:
-    items = [str(int(v)) for v in values]
+    # One C-level conversion to Python ints (per-element numpy scalars
+    # cost several times more). The text must not change: the source
+    # hash names the cached native module.
+    items = list(map(str, np.asarray(values, dtype=np.int64).tolist()))
     if not items:
         # C forbids zero-length arrays; the matching N_* constant is 0,
         # so the dummy entry is never read.

@@ -17,22 +17,19 @@ analysis sweeps are exactly the stage boundaries a fully pipelined
 mapping needs (constants and λ leaves at level 0, each operator one
 level after its latest input — constants sit at level 0, so they impose
 no constraint), so this module reads the cached schedule instead of
-re-walking nodes, and register accounting is a vectorized reduction over
-the tape's edge arrays. One source of levelization truth for analysis,
-netlist, Verilog and both simulators.
+re-walking nodes, and register accounting sums the forward datapath
+program's per-port delay table. One source of levelization and delay
+truth for analysis, netlist, Verilog and both simulators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..ac.circuit import ArithmeticCircuit
 from ..ac.nodes import OpType
-from ..engine.analysis import tape_analysis_for
-from ..engine.tape import OP_COPY, tape_for
 from ..errors import NonBinaryCircuitError
+from .program import forward_program
 
 
 @dataclass(frozen=True)
@@ -62,49 +59,29 @@ def schedule_pipeline(circuit: ArithmeticCircuit) -> PipelineSchedule:
     stage ``c`` and consumed by an operator at stage ``s`` crosses
     ``s - 1 - c`` extra balancing registers (constants excepted).
 
-    Stages are read off the tape's cached
-    :class:`~repro.engine.analysis.ForwardSchedule` dependency levels
-    (byte-equal: a binary circuit's tape has one op per operator node and
-    slot indices coincide with node indices); register counts reduce over
-    the tape's edge arrays instead of walking node objects.
+    The schedule is read off the circuit's forward
+    :class:`~repro.hw.program.DatapathProgram`, whose stages are the
+    tape's cached :class:`~repro.engine.analysis.ForwardSchedule`
+    dependency levels (byte-equal: a binary circuit's tape has one op per
+    operator node and slot indices coincide with node indices) and whose
+    per-port delay table is the one the Verilog emitter and the per-cycle
+    simulator read.
     """
     if not circuit.is_binary:
         raise NonBinaryCircuitError(
             "pipeline scheduling requires a binary circuit; apply "
             "repro.ac.transform.binarize first"
         )
-    tape = tape_for(circuit)
-    levels = tape_analysis_for(tape).schedule.levels
-    # Binary circuits compile without scratch slots: slots == nodes.
-    stages = tuple(int(level) for level in levels)
-
-    is_constant = np.zeros(tape.num_slots, dtype=bool)
-    is_constant[tape.param_slots] = True
-    if tape.num_operations:
-        dest_levels = levels[tape.dests]
-        left_delays = np.where(
-            is_constant[tape.lefts],
-            0,
-            dest_levels - 1 - levels[tape.lefts],
-        )
-        # Copies (degenerate fan-in-1 operators) have one input; their
-        # duplicated right operand must not be double-counted.
-        right_delays = np.where(
-            is_constant[tape.rights] | (tape.opcodes == OP_COPY),
-            0,
-            dest_levels - 1 - levels[tape.rights],
-        )
-        balance_registers = int(left_delays.sum() + right_delays.sum())
-    else:
-        balance_registers = 0
-
-    latency = stages[circuit.root]
+    # The root is the forward program's one output, at the design
+    # latency, so it needs no alignment registers: balance_registers
+    # counts input paths only.
+    program = forward_program(circuit)
     return PipelineSchedule(
-        stages=stages,
-        latency=latency,
-        operator_registers=tape.num_operations,
-        input_registers=len(tape.indicator_slots),
-        balance_registers=balance_registers,
+        stages=tuple(program.levels.tolist()),
+        latency=program.latency,
+        operator_registers=program.operator_registers,
+        input_registers=program.input_registers,
+        balance_registers=program.balance_registers,
     )
 
 

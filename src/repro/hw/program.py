@@ -86,6 +86,7 @@ class DatapathProgram:
         default=None, repr=False
     )
     _segments: tuple | None = field(default=None, repr=False)
+    _port_delays: np.ndarray | None = field(default=None, repr=False)
 
     # -- stream views ---------------------------------------------------
     @property
@@ -144,16 +145,38 @@ class DatapathProgram:
         """Stage-0 registers for the λ indicator words."""
         return len(self.indicator_slots)
 
+    @property
+    def port_delays(self) -> np.ndarray:
+        """``(n_ops, 2)`` balancing registers per op input port (cached).
+
+        Column 0 is the left port, column 1 the right. A source at stage
+        ``c`` feeding an op at stage ``s`` crosses ``s - 1 - c``
+        registers; constants impose no path timing (0), and a copy's
+        right port is unused (0). This one table is what the register
+        count, the Verilog emitter and the per-cycle simulator read.
+        """
+        cached = self._port_delays
+        if cached is None:
+            cached = np.zeros((self.num_operations, 2), dtype=np.int64)
+            if self.num_operations:
+                dest_levels = self.levels[self.dests]
+                cached[:, 0] = np.where(
+                    self.is_constant[self.lefts],
+                    0,
+                    dest_levels - 1 - self.levels[self.lefts],
+                )
+                cached[:, 1] = np.where(
+                    self.is_constant[self.rights] | (self.opcodes == OP_COPY),
+                    0,
+                    dest_levels - 1 - self.levels[self.rights],
+                )
+            cached.flags.writeable = False
+            object.__setattr__(self, "_port_delays", cached)
+        return cached
+
     def input_delay(self, position: int, port: int) -> int:
         """Balancing registers on one op input port (0 for constants)."""
-        opcode = int(self.opcodes[position])
-        if port == 1 and opcode == OP_COPY:
-            return 0  # copies have a single input
-        source = int((self.rights if port else self.lefts)[position])
-        if self.is_constant[source]:
-            return 0
-        dest = int(self.dests[position])
-        return int(self.levels[dest]) - 1 - int(self.levels[source])
+        return int(self.port_delays[position, port])
 
     def output_delay(self, index: int) -> int:
         """Alignment registers between output ``index`` and the latency."""
@@ -165,25 +188,10 @@ class DatapathProgram:
     @property
     def balance_registers(self) -> int:
         """All balancing registers: input-path plus output alignment."""
-        if self.num_operations == 0:
-            edges = 0
-        else:
-            dest_levels = self.levels[self.dests]
-            left = np.where(
-                self.is_constant[self.lefts],
-                0,
-                dest_levels - 1 - self.levels[self.lefts],
-            )
-            right = np.where(
-                self.is_constant[self.rights] | (self.opcodes == OP_COPY),
-                0,
-                dest_levels - 1 - self.levels[self.rights],
-            )
-            edges = int(left.sum() + right.sum())
         alignment = sum(
             self.output_delay(index) for index in range(len(self.output_slots))
         )
-        return edges + alignment
+        return int(self.port_delays.sum()) + alignment
 
     @property
     def total_registers(self) -> int:

@@ -61,9 +61,11 @@ class PipelineSimulator:
         # are keyed by (-1 - output_index, 0).
         self._delay_chains: dict[tuple[int, int], list[Any]] = {}
         self._chain_sources: dict[tuple[int, int], int] = {}
-        for position, (_opcode, dest, left, right) in enumerate(self._ops):
+        for (_opcode, dest, left, right), delays in zip(
+            self._ops, self.program.port_delays.tolist()
+        ):
             for port, source in ((0, left), (1, right)):
-                depth = self.program.input_delay(position, port)
+                depth = delays[port]
                 if depth > 0:
                     self._delay_chains[(dest, port)] = [None] * depth
                     self._chain_sources[(dest, port)] = source

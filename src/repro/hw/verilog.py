@@ -346,12 +346,12 @@ def emit_verilog(design: HardwareDesign) -> str:
         return previous
 
     port_expr: dict[tuple[int, int], str] = {}
-    for position, (opcode, dest, left, right) in enumerate(
-        program.op_tuples
+    for (opcode, dest, left, right), delays in zip(
+        program.op_tuples, program.port_delays.tolist()
     ):
         ports = ((0, left),) if opcode == OP_COPY else ((0, left), (1, right))
         for port, source in ports:
-            depth = program.input_delay(position, port)
+            depth = delays[port]
             if depth <= 0:
                 port_expr[(dest, port)] = source_expr[source]
             else:

@@ -1,9 +1,15 @@
 """Tests for repro.ac.circuit and repro.ac.nodes."""
 
-import pytest
+import copy
 
-from repro.ac.circuit import ArithmeticCircuit, topological_check
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.ac.circuit import ArithmeticCircuit, CircuitStats, topological_check
+from repro.ac.io import circuit_from_dict, circuit_to_dict
 from repro.ac.nodes import Node, OpType
+from tests.ac.strategies import circuits
 
 
 def small_circuit():
@@ -164,3 +170,99 @@ class TestIntrospection:
         circuit = small_circuit()
         with pytest.raises(ValueError, match="no indicators"):
             circuit.indicator_assignment({"Z": 0})
+
+
+def walked_facts(circuit):
+    """``(is_binary, stats, depths)`` by a full walk over the arena."""
+    depths = []
+    for node in circuit.nodes:
+        depths.append(1 + max(depths[c] for c in node.children) if node.children else 0)
+    ops = [node.op for node in circuit.nodes]
+    fanins = [len(node.children) for node in circuit.nodes]
+    stats = CircuitStats(
+        num_nodes=len(ops),
+        num_sums=ops.count(OpType.SUM),
+        num_products=ops.count(OpType.PRODUCT),
+        num_max=ops.count(OpType.MAX),
+        num_parameters=ops.count(OpType.PARAMETER),
+        num_indicators=ops.count(OpType.INDICATOR),
+        depth=max(depths, default=0),
+        max_fanin=max(fanins, default=0),
+    )
+    is_binary = all(
+        len(node.children) <= 2
+        for node in circuit.nodes
+        if node.op in (OpType.SUM, OpType.PRODUCT, OpType.MAX)
+    )
+    return is_binary, stats, depths
+
+
+def stored_facts(circuit):
+    return circuit.is_binary, circuit.stats(), circuit.depths()
+
+
+class TestStoredFacts:
+    """is_binary/stats()/depths() are recorded at insertion, never walked."""
+
+    def test_op_type_flags(self):
+        leaves = {OpType.PARAMETER, OpType.INDICATOR}
+        for op in OpType:
+            assert op.is_leaf is (op in leaves)
+            assert op.is_operator is (op not in leaves)
+
+    @settings(max_examples=150, deadline=None)
+    @given(circuits())
+    def test_facts_match_a_full_walk(self, circuit):
+        assert stored_facts(circuit) == walked_facts(circuit)
+        assert topological_check(circuit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(circuits())
+    def test_facts_survive_io_round_trip(self, circuit):
+        rebuilt = circuit_from_dict(circuit_to_dict(circuit))
+        assert stored_facts(rebuilt) == walked_facts(rebuilt)
+
+    @settings(max_examples=60, deadline=None)
+    @given(circuits(), st.lists(st.integers(0, 10_000), min_size=2, max_size=5))
+    def test_deepcopy_keeps_facts_and_builds_independently(self, circuit, picks):
+        clone = copy.deepcopy(circuit)
+        assert stored_facts(clone) == walked_facts(clone)
+        before = stored_facts(circuit)
+        clone.add_sum([pick % len(clone) for pick in picks])
+        assert stored_facts(clone) == walked_facts(clone)
+        assert stored_facts(circuit) == before
+
+    def test_depths_is_a_copy(self):
+        circuit = small_circuit()
+        circuit.depths().append(99)
+        assert circuit.depths() == walked_facts(circuit)[2]
+
+    def test_pair_path_matches_nary_path(self):
+        nary = ArithmeticCircuit()
+        pair = ArithmeticCircuit()
+        for circuit in (nary, pair):
+            for value in (0.1, 0.2, 0.3):
+                circuit.add_parameter(value)
+        for op, a, b in [
+            (OpType.SUM, 0, 1),
+            (OpType.SUM, 1, 0),
+            (OpType.PRODUCT, 2, 2),
+            (OpType.MAX, 3, 2),
+        ]:
+            add = {
+                OpType.SUM: nary.add_sum,
+                OpType.PRODUCT: nary.add_product,
+                OpType.MAX: nary.add_max,
+            }[op]
+            assert pair._add_pair(op, a, b) == add([a, b])
+        assert pair.nodes == nary.nodes
+        assert stored_facts(pair) == stored_facts(nary) == walked_facts(nary)
+
+    def test_out_of_range_reports_first_bad_child(self):
+        circuit = ArithmeticCircuit()
+        x = circuit.add_parameter(0.1)
+        with pytest.raises(ValueError, match="child index 7 out of range"):
+            circuit.add_product([x, 7, -1, 9])
+        with pytest.raises(ValueError, match="child index -1 out of range"):
+            circuit.add_product([-1, x, 9])
+        assert len(circuit) == 1

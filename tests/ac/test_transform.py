@@ -3,10 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from repro.ac.circuit import ArithmeticCircuit
 from repro.ac.evaluate import evaluate_real
+from repro.ac.nodes import OpType
 from repro.ac.transform import binarize, prune_unreachable
+from tests.ac.strategies import circuits
 from tests.conftest import all_evidence_combinations
 
 
@@ -80,6 +83,59 @@ class TestBinarize:
             assert evaluate_real(sprinkler_binary, evidence) == pytest.approx(
                 evaluate_real(sprinkler_ac.circuit, evidence)
             )
+
+
+def reference_binarize(circuit: ArithmeticCircuit, strategy: str):
+    """``(circuit, node_map)`` built only through the public n-ary calls."""
+    reachable = circuit.reachable_from_root()
+    result = ArithmeticCircuit(name=f"{circuit.name}_bin", dedup=True)
+    add = {
+        OpType.SUM: result.add_sum,
+        OpType.PRODUCT: result.add_product,
+        OpType.MAX: result.add_max,
+    }
+    node_map = {}
+    for index, node in enumerate(circuit.nodes):
+        if index not in reachable:
+            continue
+        if node.op is OpType.PARAMETER:
+            node_map[index] = result.add_parameter(node.value, node.label)
+        elif node.op is OpType.INDICATOR:
+            node_map[index] = result.add_indicator(node.variable, node.state)
+        else:
+            level = [node_map[c] for c in node.children]
+            if strategy == "chain":
+                while len(level) > 1:
+                    level = [add[node.op](level[:2])] + level[2:]
+            while len(level) > 1:
+                paired = [
+                    add[node.op](level[i : i + 2])
+                    for i in range(0, len(level) - 1, 2)
+                ]
+                level = paired + level[len(paired) * 2 :]
+            node_map[index] = level[0]
+    result.set_root(node_map[circuit.root])
+    return result, node_map
+
+
+class TestBinarizeMatchesNaryReference:
+    """binarize's two-input builder path emits the n-ary path's arena."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(circuits())
+    @pytest.mark.parametrize("strategy", ["balanced", "chain"])
+    def test_same_node_sequence(self, strategy, circuit):
+        got = binarize(circuit, strategy)
+        want, want_map = reference_binarize(circuit, strategy)
+        assert got.circuit.nodes == want.nodes
+        assert [node.label for node in got.circuit.nodes] == [
+            node.label for node in want.nodes
+        ]
+        assert got.root == want.root
+        assert got.node_map == want_map
+        assert got.circuit.is_binary
+        assert got.circuit.stats() == want.stats()
+        assert got.circuit.depths() == want.depths()
 
 
 class TestPruneUnreachable:
