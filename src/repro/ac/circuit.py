@@ -11,7 +11,11 @@ The builder performs common-subexpression elimination by default:
 structurally identical nodes (same op and children, or same parameter
 value) are shared, which mirrors the sharing an AC compiler like ACE
 produces. The CSE table is consulted before a :class:`Node` is built, so
-a hit costs one dict lookup.
+a hit costs one dict lookup. The public ``add_*`` methods check what
+they are given; the internal pair and n-ary paths, which
+:func:`~repro.ac.transform.binarize` and the compiler build through,
+take indices this builder issued and skip those checks, including the
+:class:`Node` constructor's.
 
 Because the arena only ever grows, the structural facts of a node never
 change once it is inserted. The builder records them at insertion — each
@@ -28,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .nodes import Node, OpType
+from .nodes import Node, OpType, _operator_node
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,16 @@ class ArithmeticCircuit:
             raise ValueError(
                 f"child index {child} out of range (circuit has {size} nodes)"
             )
+        return self._add_nary(op, children)
+
+    def _add_nary(self, op: OpType, children: Sequence[int]) -> int:
+        """An ``op`` over a non-empty sequence of indices this circuit issued.
+
+        The path the compiler (:mod:`repro.compile`) builds through: the
+        children are Python ints this builder handed out, so they are
+        neither coerced nor range-checked again. Equivalent to
+        ``_add_operator(op, children)``.
+        """
         if len(children) == 1:
             # A unary sum/product/max is the identity; don't materialize it.
             return children[0]
@@ -128,9 +142,8 @@ class ArithmeticCircuit:
         index = self._cse.get(key)
         if index is not None:
             return index
-        depths = self._depths
-        depth = 1 + max([depths[child] for child in children])
-        return self._intern(key, Node(op, children=children), depth)
+        depth = 1 + max(map(self._depths.__getitem__, children))
+        return self._intern(key, _operator_node(op, tuple(children)), depth)
 
     def _add_pair(self, op: OpType, left: int, right: int) -> int:
         """A two-input ``op`` over indices this circuit handed out.
@@ -149,7 +162,7 @@ class ArithmeticCircuit:
         if index is not None:
             return index
         depth = 1 + max(self._depths[left], self._depths[right])
-        return self._intern(key, Node(op, children=(left, right)), depth)
+        return self._intern(key, _operator_node(op, (left, right)), depth)
 
     def add_sum(self, children: Sequence[int]) -> int:
         return self._add_operator(OpType.SUM, children)

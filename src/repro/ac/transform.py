@@ -78,17 +78,24 @@ def binarize(
         raise ValueError(f"unknown strategy {strategy!r}")
     reachable = circuit.reachable_from_root()
     result = ArithmeticCircuit(name=f"{circuit.name}_bin", dedup=True)
+    add_pair = result._add_pair
+    parameter, indicator = OpType.PARAMETER, OpType.INDICATOR
     node_map: dict[int, int] = {}
     for index, node in enumerate(circuit.nodes):
         if index not in reachable:
             continue
-        if node.op is OpType.PARAMETER:
+        op = node.op
+        if op is parameter:
             node_map[index] = result.add_parameter(node.value, node.label)
-        elif node.op is OpType.INDICATOR:
+        elif op is indicator:
             node_map[index] = result.add_indicator(node.variable, node.state)
+        elif len(node.children) == 2:
+            # Both strategies reduce two children to one pair.
+            left, right = node.children
+            node_map[index] = add_pair(op, node_map[left], node_map[right])
         else:
             children = [node_map[c] for c in node.children]
-            node_map[index] = _combine(result, node.op, children, strategy)
+            node_map[index] = _combine(result, op, children, strategy)
     result.set_root(node_map[circuit.root])
     return TransformResult(result, node_map)
 

@@ -15,12 +15,15 @@ value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product as iter_product
 from typing import Iterable, Mapping
 
 from ..ac.circuit import ArithmeticCircuit
+from ..ac.nodes import OpType
 from ..bn.network import BayesianNetwork
 from .factor import (
     SymbolicFactor,
+    _entry_table,
     eliminate_variable,
     factors_mentioning,
     multiply_factors,
@@ -57,30 +60,33 @@ def cpt_symbolic_factor(
     order = tuple(int(i) for i in np.argsort(names))
     scope = tuple(names[i] for i in order)
     cards = tuple(cpt.scope[i].cardinality for i in order)
-    table = np.transpose(cpt.table, order)
+    values = np.transpose(cpt.table, order).ravel().tolist()
+    child = cpt.child.name
     child_axis = order.index(len(names) - 1)
+    parent_axes = [i for i in range(len(scope)) if i != child_axis]
+    assignments = [
+        [f"{scope[i]}={state}" for state in range(card)]
+        for i, card in enumerate(cards)
+    ]
 
-    entries = np.empty(cards, dtype=object)
-    iterator = np.ndindex(*cards) if cards else iter([()])
-    for config in iterator:
+    product = OpType.PRODUCT
+    entries = []
+    configs = iter_product(*map(range, cards))
+    for config, value in zip(configs, values):
         child_state = config[child_axis] if cards else 0
-        parent_desc = ",".join(
-            f"{scope[i]}={config[i]}"
-            for i in range(len(scope))
-            if i != child_axis
-        )
+        parent_desc = ",".join([assignments[i][config[i]] for i in parent_axes])
         label = (
-            f"θ({cpt.child.name}={child_state}|{parent_desc})"
+            f"θ({child}={child_state}|{parent_desc})"
             if parent_desc
-            else f"θ({cpt.child.name}={child_state})"
+            else f"θ({child}={child_state})"
         )
-        theta = circuit.add_parameter(float(table[config]), label)
+        theta = circuit.add_parameter(value, label)
         if with_indicators:
-            lam = circuit.add_indicator(cpt.child.name, int(child_state))
-            entries[config] = circuit.add_product([theta, lam])
+            lam = circuit.add_indicator(child, child_state)
+            entries.append(circuit._add_pair(product, theta, lam))
         else:
-            entries[config] = theta
-    return SymbolicFactor(scope, cards, entries)
+            entries.append(theta)
+    return SymbolicFactor(scope, cards, _entry_table(entries, cards))
 
 
 def compile_network(
@@ -135,8 +141,6 @@ def network_polynomial_brute_force(
     network: BayesianNetwork, evidence: Mapping[str, int]
 ) -> float:
     """Reference ``Pr(e)`` by explicit enumeration (tests only; exponential)."""
-    from itertools import product as iter_product
-
     names = network.variable_names
     cards = [network.variable(n).cardinality for n in names]
     total = 0.0

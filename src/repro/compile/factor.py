@@ -10,12 +10,12 @@ nodes (or MAX nodes for MPE compilation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..ac.circuit import ArithmeticCircuit
+from ..ac.nodes import OpType
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,13 @@ def scalar_factor(node: int) -> SymbolicFactor:
     return SymbolicFactor((), (), entries)
 
 
+def _entry_table(entries: list[int], cards: tuple[int, ...]) -> np.ndarray:
+    """A flat, C-ordered list of node indices as an object table."""
+    table = np.empty(len(entries), dtype=object)
+    table[:] = entries
+    return table.reshape(cards)
+
+
 def multiply_factors(
     circuit: ArithmeticCircuit, factors: Sequence[SymbolicFactor]
 ) -> SymbolicFactor:
@@ -67,6 +74,10 @@ def multiply_factors(
     For every configuration of the union scope, gathers the matching entry
     of each input factor and emits one (n-ary) product node; later
     binarization decomposes these into 2-input multipliers.
+
+    The entries must be indices ``circuit`` issued (as they are for every
+    factor the compiler builds): they go through the builder's unchecked
+    n-ary path.
     """
     if not factors:
         raise ValueError("need at least one factor to multiply")
@@ -80,17 +91,18 @@ def multiply_factors(
             union[name] = card
     scope = tuple(sorted(union))
     cards = tuple(union[name] for name in scope)
-    positions = [
-        tuple(scope.index(name) for name in factor.scope) for factor in factors
-    ]
-    entries = np.empty(cards, dtype=object)
-    for config in iter_product(*(range(c) for c in cards)):
-        children = [
-            factor.entry(tuple(config[p] for p in pos))
-            for factor, pos in zip(factors, positions)
-        ]
-        entries[config] = circuit.add_product(children)
-    return SymbolicFactor(scope, cards, entries)
+    # Both scopes are sorted, so a factor's axes already sit in union
+    # order: size-1 axes for the names it lacks broadcast it onto the
+    # union table, and a C-order ravel lists its entry per configuration.
+    columns = []
+    for factor in factors:
+        shape = [union[name] if name in factor.scope else 1 for name in scope]
+        spread = np.broadcast_to(factor.entries.reshape(shape), cards)
+        columns.append(spread.ravel().tolist())
+    add = circuit._add_nary
+    product = OpType.PRODUCT
+    entries = [add(product, children) for children in zip(*columns)]
+    return SymbolicFactor(scope, cards, _entry_table(entries, cards))
 
 
 def eliminate_variable(
@@ -102,7 +114,9 @@ def eliminate_variable(
     """Sum (or max) a variable out of a symbolic factor.
 
     Emits one SUM/MAX node per configuration of the remaining scope, with
-    one child per state of the eliminated variable.
+    one child per state of the eliminated variable. Like
+    :func:`multiply_factors`, it builds through the unchecked n-ary path,
+    so the entries must be indices ``circuit`` issued.
     """
     if mode not in ("sum", "max"):
         raise ValueError(f"mode must be 'sum' or 'max', got {mode!r}")
@@ -112,16 +126,13 @@ def eliminate_variable(
     card = factor.cards[axis]
     scope = tuple(v for v in factor.scope if v != name)
     cards = tuple(c for i, c in enumerate(factor.cards) if i != axis)
-    combine = circuit.add_sum if mode == "sum" else circuit.add_max
-    entries = np.empty(cards, dtype=object)
-    for config in iter_product(*(range(c) for c in cards)):
-        full = list(config)
-        children = []
-        for state in range(card):
-            full_config = tuple(full[:axis]) + (state,) + tuple(full[axis:])
-            children.append(factor.entry(full_config))
-        entries[config] = combine(children)
-    return SymbolicFactor(scope, cards, entries)
+    op = OpType.SUM if mode == "sum" else OpType.MAX
+    add = circuit._add_nary
+    # One row per configuration of the remaining scope (C order), holding
+    # the entries of the eliminated variable's states in state order.
+    rows = np.moveaxis(factor.entries, axis, -1).reshape(-1, card).tolist()
+    entries = [add(op, children) for children in rows]
+    return SymbolicFactor(scope, cards, _entry_table(entries, cards))
 
 
 def factors_mentioning(

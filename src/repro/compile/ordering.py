@@ -2,7 +2,9 @@
 
 Good orderings keep the intermediate factors — and therefore the compiled
 circuit — small. Min-fill is the default; min-degree is provided as a
-cheaper alternative and for ablations.
+cheaper alternative and for ablations. Min-fill runs on plain adjacency
+sets with incrementally maintained fill-in counts; the other helpers
+work on the networkx moral graph.
 """
 
 from __future__ import annotations
@@ -12,27 +14,23 @@ import networkx as nx
 from ..bn.network import BayesianNetwork
 
 
-def moral_graph(network: BayesianNetwork) -> nx.Graph:
-    """The moralized, undirected interaction graph of the network."""
-    graph = nx.Graph()
-    graph.add_nodes_from(network.variable_names)
+def _moral_adjacency(network: BayesianNetwork) -> dict[str, set[str]]:
+    """Variable → neighbours in the moral graph (each CPT scope a clique)."""
+    adjacency: dict[str, set[str]] = {
+        name: set() for name in network.variable_names
+    }
     for cpt in network.cpts():
         scope = [v.name for v in cpt.scope]
-        for i, a in enumerate(scope):
-            for b in scope[i + 1 :]:
-                graph.add_edge(a, b)
-    return graph
+        for name in scope:
+            adjacency[name].update(scope)
+    for name, neighbors in adjacency.items():
+        neighbors.discard(name)
+    return adjacency
 
 
-def _fill_in_count(graph: nx.Graph, node: str) -> int:
-    """Number of edges elimination of ``node`` would add."""
-    neighbors = list(graph.neighbors(node))
-    missing = 0
-    for i, a in enumerate(neighbors):
-        for b in neighbors[i + 1 :]:
-            if not graph.has_edge(a, b):
-                missing += 1
-    return missing
+def moral_graph(network: BayesianNetwork) -> nx.Graph:
+    """The moralized, undirected interaction graph of the network."""
+    return nx.from_dict_of_lists(_moral_adjacency(network))
 
 
 def _eliminate_node(graph: nx.Graph, node: str) -> None:
@@ -57,22 +55,55 @@ def _scope_counts(network: BayesianNetwork) -> dict[str, int]:
     return counts
 
 
+def _fill_in(adjacency: dict[str, set[str]], node: str) -> int:
+    """Number of edges elimination of ``node`` would add.
+
+    Each edge among the neighbours shows up in two of the neighbours'
+    intersections with the neighbourhood, so the edges present number
+    half their sum.
+    """
+    neighbors = adjacency[node]
+    degree = len(neighbors)
+    present = sum(
+        map(len, map(neighbors.intersection, map(adjacency.get, neighbors)))
+    )
+    return (degree * (degree - 1) - present) // 2
+
+
 def min_fill_order(network: BayesianNetwork) -> tuple[str, ...]:
     """Greedy min-fill elimination order.
 
     Ties break by scope count (see :func:`_scope_counts`), then by name
     for determinism.
+
+    Each variable's ``(fill-in, scope count, name)`` key is cached and,
+    after an elimination, recomputed only within two hops of the
+    eliminated variable. Its neighbours' neighbourhoods change; a
+    variable two hops away keeps its neighbourhood, but a fill edge
+    between two of its neighbours lowers its fill-in. Farther variables
+    see neither, so their keys stay valid.
     """
-    graph = moral_graph(network)
+    adjacency = _moral_adjacency(network)
     scopes = _scope_counts(network)
+    keys = {
+        node: (_fill_in(adjacency, node), scopes[node], node)
+        for node in adjacency
+    }
     order = []
-    while graph.number_of_nodes():
-        best = min(
-            graph.nodes,
-            key=lambda n: (_fill_in_count(graph, n), scopes[n], n),
-        )
+    while keys:
+        best = min(keys.values())[2]
         order.append(best)
-        _eliminate_node(graph, best)
+        del keys[best]
+        neighbors = adjacency.pop(best)
+        affected = set(neighbors)
+        for node in neighbors:
+            adjacent = adjacency[node]
+            adjacent.discard(best)
+            adjacent |= neighbors
+            adjacent.discard(node)
+            affected |= adjacent
+        for node in affected:
+            keys[node] = (_fill_in(adjacency, node), scopes[node], node)
     return tuple(order)
 
 

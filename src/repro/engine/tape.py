@@ -44,7 +44,27 @@ from .memo import KeyedMemo
 # itself never produces).
 OP_SUM, OP_PRODUCT, OP_MAX, OP_COPY = 0, 1, 2, 3
 
-_OPCODE_OF = {OpType.SUM: OP_SUM, OpType.PRODUCT: OP_PRODUCT, OpType.MAX: OP_MAX}
+#: Keyed by ``op._value_``: an OpType key would hash in Python code.
+_OPCODE_OF = {"sum": OP_SUM, "product": OP_PRODUCT, "max": OP_MAX}
+
+
+def to_op_tuples(program) -> list[tuple[int, int, int, int]]:
+    """``program``'s op arrays as ``(opcode, dest, left, right)`` int tuples.
+
+    Scalar (pure-Python) sweeps iterate these instead of the numpy arrays
+    — tuple unpacking beats per-element ndarray indexing. ``tolist()``
+    converts each array to Python ints in one C call. Shared by
+    :class:`Tape`, :class:`BackwardProgram` and
+    :class:`~repro.hw.program.DatapathProgram`, which cache the result.
+    """
+    return list(
+        zip(
+            program.opcodes.tolist(),
+            program.dests.tolist(),
+            program.lefts.tolist(),
+            program.rights.tolist(),
+        )
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,12 +95,7 @@ class BackwardProgram:
         """The reversed operation stream as plain int tuples (cached)."""
         cached = self._op_tuples
         if cached is None:
-            cached = [
-                (int(o), int(d), int(l), int(r))
-                for o, d, l, r in zip(
-                    self.opcodes, self.dests, self.lefts, self.rights
-                )
-            ]
+            cached = to_op_tuples(self)
             object.__setattr__(self, "_op_tuples", cached)
         return cached
 
@@ -117,6 +132,9 @@ class Tape:
     indicator_keys: tuple[tuple[str, int], ...]
     #: True when the source circuit was binary (no scratch slots needed).
     source_is_binary: bool
+    #: True when the tape has MAX operations (an MPE circuit); derivative
+    #: sweeps check it on every call, so it is computed once, here.
+    has_max: bool
     _op_tuples: list[tuple[int, int, int, int]] | None = field(
         default=None, repr=False
     )
@@ -125,11 +143,6 @@ class Tape:
     @property
     def num_operations(self) -> int:
         return len(self.opcodes)
-
-    @property
-    def has_max(self) -> bool:
-        """True when the circuit contains MAX operators."""
-        return bool((self.opcodes == OP_MAX).any())
 
     @property
     def backward(self) -> BackwardProgram:
@@ -155,19 +168,14 @@ class Tape:
 
     @property
     def op_tuples(self) -> list[tuple[int, int, int, int]]:
-        """The operation stream as plain int tuples.
+        """The operation stream as plain int tuples (cached).
 
-        Cached; scalar (pure-Python) executors iterate this instead of the
-        numpy arrays — tuple unpacking beats per-element ndarray indexing.
+        Scalar (pure-Python) executors iterate this instead of the numpy
+        arrays; see :func:`to_op_tuples`.
         """
         cached = self._op_tuples
         if cached is None:
-            cached = [
-                (int(o), int(d), int(l), int(r))
-                for o, d, l, r in zip(
-                    self.opcodes, self.dests, self.lefts, self.rights
-                )
-            ]
+            cached = to_op_tuples(self)
             object.__setattr__(self, "_op_tuples", cached)
         return cached
 
@@ -213,8 +221,10 @@ def compile_tape(circuit: ArithmeticCircuit) -> Tape:
         lefts.append(left)
         rights.append(right)
 
+    parameter, indicator = OpType.PARAMETER, OpType.INDICATOR
     for index, node in enumerate(circuit.nodes):
-        if node.op is OpType.PARAMETER:
+        op = node.op
+        if op is parameter:
             value = float(node.value)
             value_id = value_ids.get(value)
             if value_id is None:
@@ -222,16 +232,20 @@ def compile_tape(circuit: ArithmeticCircuit) -> Tape:
                 param_values.append(value)
             param_slots.append(index)
             param_ids.append(value_id)
-        elif node.op is OpType.INDICATOR:
+        elif op is indicator:
             indicator_slots.append(index)
             indicator_keys.append((node.variable, int(node.state)))
         else:
-            opcode = _OPCODE_OF[node.op]
+            opcode = _OPCODE_OF[op._value_]
             children = node.children
-            if len(children) == 1:
+            if len(children) == 2:
+                # The common case (every op of a binary circuit), inlined.
+                opcodes.append(opcode)
+                dests.append(index)
+                lefts.append(children[0])
+                rights.append(children[1])
+            elif len(children) == 1:
                 emit(OP_COPY, index, children[0], children[0])
-            elif len(children) == 2:
-                emit(opcode, index, children[0], children[1])
             else:
                 # Left fold through scratch slots; last op lands on the
                 # node's own slot so per-node reads stay valid.
@@ -242,12 +256,13 @@ def compile_tape(circuit: ArithmeticCircuit) -> Tape:
                     next_scratch += 1
                 emit(opcode, index, accumulator, children[-1])
 
+    opcode_array = np.asarray(opcodes, dtype=np.int32)
     return Tape(
         name=circuit.name,
         num_nodes=num_nodes,
         num_slots=next_scratch,
         root=circuit.root if circuit.has_root else None,
-        opcodes=np.asarray(opcodes, dtype=np.int32),
+        opcodes=opcode_array,
         dests=np.asarray(dests, dtype=np.int32),
         lefts=np.asarray(lefts, dtype=np.int32),
         rights=np.asarray(rights, dtype=np.int32),
@@ -257,6 +272,7 @@ def compile_tape(circuit: ArithmeticCircuit) -> Tape:
         indicator_slots=np.asarray(indicator_slots, dtype=np.int32),
         indicator_keys=tuple(indicator_keys),
         source_is_binary=circuit.is_binary,
+        has_max=bool((opcode_array == OP_MAX).any()),
     )
 
 

@@ -38,7 +38,14 @@ import numpy as np
 from ..ac.circuit import ArithmeticCircuit
 from ..energy.estimate import OperatorCounts, counts_from_opcodes
 from ..engine.analysis import schedule_segments, tape_analysis_for
-from ..engine.tape import OP_COPY, OP_PRODUCT, OP_SUM, Tape, tape_for
+from ..engine.tape import (
+    OP_COPY,
+    OP_PRODUCT,
+    OP_SUM,
+    Tape,
+    tape_for,
+    to_op_tuples,
+)
 from ..errors import NonBinaryCircuitError
 
 #: Output label of the forward program's single root result.
@@ -98,12 +105,7 @@ class DatapathProgram:
         """The op stream as plain int tuples (cached; per-cycle oracle)."""
         cached = self._op_tuples
         if cached is None:
-            cached = [
-                (int(o), int(d), int(l), int(r))
-                for o, d, l, r in zip(
-                    self.opcodes, self.dests, self.lefts, self.rights
-                )
-            ]
+            cached = to_op_tuples(self)
             object.__setattr__(self, "_op_tuples", cached)
         return cached
 

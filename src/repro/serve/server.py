@@ -606,9 +606,7 @@ class ProbLPServer:
             for row, variables in enumerate(per_request_variables):
                 result = {
                     field: {
-                        variable: [
-                            float(p) for p in exact[variable][:, row]
-                        ]
+                        variable: exact[variable][:, row].tolist()
                         for variable in variables
                     },
                     "batched": size,
@@ -618,9 +616,7 @@ class ProbLPServer:
                     result["fallback_reason"] = fallback
                 if quantized is not None:
                     result["quantized"] = {
-                        variable: [
-                            float(p) for p in quantized[variable][:, row]
-                        ]
+                        variable: quantized[variable][:, row].tolist()
                         for variable in variables
                     }
                 results.append(result)

@@ -1,6 +1,7 @@
 """Tests for repro.ac.circuit and repro.ac.nodes."""
 
 import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -51,9 +52,94 @@ class TestNodeValidation:
         with pytest.raises(ValueError, match="payload"):
             Node(OpType.SUM, children=(0,), value=1.0)
 
+    def test_indicator_rejects_negative_state(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Node(OpType.INDICATOR, variable="A", state=-1)
+
+    def test_operator_rejects_variable_payload(self):
+        with pytest.raises(ValueError, match="payload"):
+            Node(OpType.PRODUCT, children=(0, 1), variable="A")
+
     def test_describe(self):
         assert "0.25" in Node(OpType.PARAMETER, value=0.25).describe()
         assert "λ(A=1)" == Node(OpType.INDICATOR, variable="A", state=1).describe()
+
+
+class TestNodeRecord:
+    """``Node`` is an immutable slot record with value semantics."""
+
+    NODES = [
+        Node(OpType.PARAMETER, value=0.25, label="θ(A=0)"),
+        Node(OpType.INDICATOR, variable="A", state=1),
+        Node(OpType.SUM, children=(0, 1)),
+        Node(OpType.MAX, children=(2, 0, 1)),
+    ]
+
+    def test_eq_and_hash_ignore_label(self):
+        labelled = Node(OpType.PARAMETER, value=0.5, label="θ(B=1)")
+        plain = Node(OpType.PARAMETER, value=0.5)
+        assert labelled == plain
+        assert hash(labelled) == hash(plain)
+        assert len({labelled, plain}) == 1
+
+    def test_eq_compares_every_other_field(self):
+        assert Node(OpType.SUM, children=(0, 1)) != Node(
+            OpType.PRODUCT, children=(0, 1)
+        )
+        assert Node(OpType.SUM, children=(0, 1)) != Node(
+            OpType.SUM, children=(1, 0)
+        )
+        assert Node(OpType.INDICATOR, variable="A", state=0) != Node(
+            OpType.INDICATOR, variable="B", state=0
+        )
+        assert Node(OpType.PARAMETER, value=0.5) != (OpType.PARAMETER, 0.5)
+
+    @pytest.mark.parametrize("field", ["op", "children", "value", "label"])
+    def test_assignment_raises(self, field):
+        node = Node(OpType.PARAMETER, value=0.5)
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+        assert node.value == 0.5
+
+    def test_no_instance_dict(self):
+        node = Node(OpType.PARAMETER, value=0.5)
+        assert not hasattr(node, "__dict__")
+        with pytest.raises(AttributeError):
+            node.extra = 1
+
+    @pytest.mark.parametrize("index", range(len(NODES)))
+    def test_pickle_and_deepcopy_round_trip(self, index):
+        node = self.NODES[index]
+        for clone in (
+            pickle.loads(pickle.dumps(node)),
+            copy.deepcopy(node),
+            copy.copy(node),
+        ):
+            assert clone == node
+            assert clone.label == node.label
+            assert repr(clone) == repr(node)
+
+    def test_repr_lists_every_field(self):
+        assert repr(Node(OpType.SUM, children=(0, 1))) == (
+            "Node(op=<OpType.SUM: 'sum'>, children=(0, 1), value=None, "
+            "variable=None, state=None, label=None)"
+        )
+
+    def test_builder_operators_equal_constructed_nodes(self):
+        circuit = small_circuit()
+        for node in circuit.nodes:
+            rebuilt = Node(
+                node.op,
+                children=node.children,
+                value=node.value,
+                variable=node.variable,
+                state=node.state,
+                label=node.label,
+            )
+            assert rebuilt == node
+            assert repr(rebuilt) == repr(node)
 
 
 class TestBuilder:
@@ -257,6 +343,37 @@ class TestStoredFacts:
             assert pair._add_pair(op, a, b) == add([a, b])
         assert pair.nodes == nary.nodes
         assert stored_facts(pair) == stored_facts(nary) == walked_facts(nary)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([OpType.SUM, OpType.PRODUCT, OpType.MAX]),
+                st.lists(st.integers(0, 2), min_size=1, max_size=5),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_nary_path_matches_checked_path(self, calls):
+        checked = ArithmeticCircuit()
+        nary = ArithmeticCircuit()
+        for circuit in (checked, nary):
+            for value in (0.1, 0.2, 0.3):
+                circuit.add_parameter(value)
+        for op, offsets in calls:
+            # Children among the most recent nodes, so operators nest.
+            size = len(checked)
+            children = [max(0, size - 1 - offset) for offset in offsets]
+            add = {
+                OpType.SUM: checked.add_sum,
+                OpType.PRODUCT: checked.add_product,
+                OpType.MAX: checked.add_max,
+            }[op]
+            assert nary._add_nary(op, children) == add(children)
+        assert [repr(node) for node in nary.nodes] == [
+            repr(node) for node in checked.nodes
+        ]
+        assert stored_facts(nary) == stored_facts(checked) == walked_facts(nary)
 
     def test_out_of_range_reports_first_bad_child(self):
         circuit = ArithmeticCircuit()

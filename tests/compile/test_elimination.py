@@ -1,6 +1,8 @@
 """Tests for repro.compile.elimination (BN → AC compilation)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ac.evaluate import evaluate_real
 from repro.ac.validate import validate_circuit
@@ -11,6 +13,8 @@ from repro.compile import (
     min_degree_order,
     network_polynomial_brute_force,
 )
+from tests.compile.reference import reference_compile
+from tests.compile.strategies import networks
 from tests.conftest import all_evidence_combinations
 
 
@@ -111,3 +115,45 @@ class TestCompiledStructure:
             if node.op.value == "parameter" and node.label
         ]
         assert any("θ(" in label for label in labels)
+
+
+class TestMatchesCheckedReference:
+    """The compiler emits the node sequence of one checked ``add_*`` call
+    per factor entry, though it builds through the unchecked n-ary path."""
+
+    @staticmethod
+    def assert_same_circuit(compiled, reference):
+        assert [repr(node) for node in compiled.nodes] == [
+            repr(node) for node in reference.nodes
+        ]
+        assert compiled.root == reference.root
+        assert compiled.stats() == reference.stats()
+        assert compiled.depths() == reference.depths()
+
+    @given(
+        networks(max_variables=8, max_cardinality=3),
+        st.sampled_from(["sum", "max"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_min_fill_order(self, network, mode):
+        compiled = compile_network(network, mode=mode)
+        self.assert_same_circuit(
+            compiled.circuit,
+            reference_compile(network, compiled.elimination_order, mode),
+        )
+
+    @given(networks(max_variables=6, max_cardinality=3), st.randoms())
+    @settings(max_examples=40, deadline=None)
+    def test_any_order(self, network, rng):
+        order = list(network.variable_names)
+        rng.shuffle(order)
+        self.assert_same_circuit(
+            compile_network(network, order=order).circuit,
+            reference_compile(network, order),
+        )
+
+    def test_alarm(self, alarm, alarm_ac):
+        self.assert_same_circuit(
+            alarm_ac.circuit,
+            reference_compile(alarm, alarm_ac.elimination_order),
+        )

@@ -1,7 +1,9 @@
 """Tests for repro.compile.ordering."""
 
 import pytest
+from hypothesis import given, settings
 
+from repro.bn.networks import random_network
 from repro.compile.ordering import (
     induced_width,
     min_degree_order,
@@ -9,6 +11,12 @@ from repro.compile.ordering import (
     moral_graph,
     validate_order,
 )
+from tests.compile.reference import (
+    neighbours_only_min_fill_order,
+    reference_min_fill_order,
+    reference_moral_graph,
+)
+from tests.compile.strategies import networks
 
 
 class TestMoralGraph:
@@ -20,6 +28,16 @@ class TestMoralGraph:
     def test_all_variables_present(self, alarm):
         graph = moral_graph(alarm)
         assert set(graph.nodes) == set(alarm.variable_names)
+
+    @given(networks())
+    @settings(max_examples=50, deadline=None)
+    def test_same_graph_as_edge_by_edge_reference(self, network):
+        graph = moral_graph(network)
+        reference = reference_moral_graph(network)
+        assert list(graph.nodes) == list(reference.nodes)
+        assert {frozenset(edge) for edge in graph.edges} == {
+            frozenset(edge) for edge in reference.edges
+        }
 
 
 class TestOrders:
@@ -60,3 +78,32 @@ class TestOrders:
         chain = chain_network(6)
         order = min_fill_order(chain)
         assert induced_width(chain, order) == 1
+
+
+class TestMinFillMatchesReference:
+    """The incremental min-fill picks exactly the full-recompute order."""
+
+    @given(networks())
+    @settings(max_examples=200, deadline=None)
+    def test_same_order_as_full_recompute(self, network):
+        assert min_fill_order(network) == reference_min_fill_order(network)
+
+    def test_non_neighbour_count_change(self):
+        # Eliminating a variable here adds a fill edge between two
+        # neighbours of a variable two hops away, and the lowered count
+        # of that variable decides a later pick: refreshing only the
+        # neighbours picks a different order.
+        network = random_network(6, max_parents=2, max_cardinality=2, seed=28)
+        reference = reference_min_fill_order(network)
+        assert neighbours_only_min_fill_order(network) != reference
+        assert min_fill_order(network) == reference
+
+    @pytest.mark.parametrize("name", ["alarm", "asia", "sprinkler", "figure1"])
+    def test_named_networks(self, name, request):
+        network = request.getfixturevalue(name)
+        assert min_fill_order(network) == reference_min_fill_order(network)
+
+    def test_naive_bayes_ties(self, mini_benchmark):
+        # Every feature ties on fill-in and scope count; names decide.
+        network = mini_benchmark.classifier.network
+        assert min_fill_order(network) == reference_min_fill_order(network)
